@@ -8,12 +8,8 @@ interferers, cross-validated against a reproducible Monte Carlo simulator.
 from .analytic import (
     DensityResult,
     area_spectral_efficiency,
-    density_bd,
     density_dpc_mimo,
-    density_dpc_miso,
     density_for_scheme,
-    density_zf,
-    density_zf_antsel,
     exact_density_root,
     exact_outage,
     scaling_exponent,
@@ -27,7 +23,6 @@ from .kernels import (
     interference_coeff,
     laplace_field,
     noise_laplace,
-    order_stat_coeff,
 )
 from .montecarlo import (
     InconclusiveBisection,
@@ -52,12 +47,8 @@ __all__ = [
     "area_spectral_efficiency",
     "beta_fn",
     "chi2_cdf_and_bounds",
-    "density_bd",
     "density_dpc_mimo",
-    "density_dpc_miso",
     "density_for_scheme",
-    "density_zf",
-    "density_zf_antsel",
     "estimate_outage",
     "exact_density_root",
     "exact_outage",
@@ -66,7 +57,6 @@ __all__ = [
     "interference_coeff",
     "laplace_field",
     "noise_laplace",
-    "order_stat_coeff",
     "run_sweep",
     "scaling_exponent",
     "validate_distribution",

@@ -9,6 +9,7 @@ keeps the looser e^{+s eta/rho} factor (see kernels.noise_laplace_bound).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -184,50 +185,33 @@ def density_sandwich(params: NetworkParams, d: int,
     return max(lower, 0.0), max(upper, 0.0)
 
 
-def density_dpc_miso(params: NetworkParams) -> DensityResult:
-    """DPC to M single-antenna receivers; small-outage optimal density."""
-    scheme = Scheme.DPC_MISO
-    scheme.check_feasible(params)
-    res = small_eps_density(params, scheme, params.M, params.M)
-    return _result(params, scheme, res.lambda_eps, "small-eps",
-                   noise_limited=res.noise_limited)
+def _gamma_bound_density(params: NetworkParams, scheme: Scheme) -> DensityResult:
+    """Block diagonalization: the small-outage formula is an upper bound.
+
+    lam <= F_r * epsilon * e^{-eta beta D^alpha / rho}
+           / (I_K beta^{2/alpha} D^2),  r = NM - (K-1) N^2.
+    """
+    res = small_eps_density(params, scheme, scheme.signal_dof(params),
+                            scheme.mark_shape(params))
+    return dataclasses.replace(res, method="upper-bound")
 
 
-def density_zf(params: NetworkParams, variant: str = "multi") -> DensityResult:
-    """Zero-forcing beamforming densities.
+def _exponential_density(params: NetworkParams, scheme: Scheme) -> DensityResult:
+    """Exp(1) signal (ZF to single-antenna receivers, SISO): exact root
 
-    variant 'multi'  : M >= KN multi-antenna receivers, small-eps formula
-                       with signal dof M - KN + 1 and mark index KN.
-    variant 'rx-zf'  : N > M, receive zero-forcing, signal dof N - M + 1,
-                       mark index M.
-    variant 'miso'   : single-antenna receivers, exact closed form
-                       lam = [-log(1-eps) - eta beta D^alpha / rho]
-                             / (I_M beta^{2/alpha} D^2), clamped at 0.
+    lam = [-log(1-eps) - eta beta D^alpha / rho] / (I_m beta^{2/alpha} D^2),
+    clamped at 0.
     """
     delta = 2.0 / params.alpha
-    if variant == "multi":
-        scheme = Scheme.ZF_MULTI
-        scheme.check_feasible(params)
-        return small_eps_density(params, scheme, scheme.signal_dof(params),
-                                 scheme.mark_shape(params))
-    if variant == "rx-zf":
-        scheme = Scheme.ZF_RXZF
-        scheme.check_feasible(params)
-        return small_eps_density(params, scheme, scheme.signal_dof(params),
-                                 scheme.mark_shape(params))
-    if variant == "miso":
-        scheme = Scheme.ZF_MISO
-        scheme.check_feasible(params)
-        numer = -math.log1p(-params.epsilon) - params.zeta * params.eta_over_rho
-        lam = numer / (interference_coeff(params.M, params.alpha)
-                       * params.beta**delta * params.D**2)
-        if lam <= 0.0:
-            return _result(params, scheme, 0.0, "exact-root", noise_limited=True)
-        return _result(params, scheme, lam, "exact-root")
-    raise ValueError(f"unknown ZF variant {variant!r}; use multi | rx-zf | miso")
+    numer = -math.log1p(-params.epsilon) - params.zeta * params.eta_over_rho
+    lam = numer / (interference_coeff(scheme.mark_shape(params), params.alpha)
+                   * params.beta**delta * params.D**2)
+    if lam <= 0.0:
+        return _result(params, scheme, 0.0, "exact-root", noise_limited=True)
+    return _result(params, scheme, lam, "exact-root")
 
 
-def density_zf_antsel(params: NetworkParams) -> DensityResult:
+def _order_statistic_density(params: NetworkParams, scheme: Scheme) -> DensityResult:
     """ZF beamforming with receive antenna selection; small-outage density.
 
     lam = epsilon * e^{-eta beta D^alpha / rho}
@@ -235,8 +219,6 @@ def density_zf_antsel(params: NetworkParams) -> DensityResult:
     with S_N^eff the noise-weighted order-statistic coefficient (reduces to
     S_N at eta = 0).
     """
-    scheme = Scheme.ZF_ANTSEL
-    scheme.check_feasible(params)
     floor = (-math.expm1(-params.zeta * params.eta_over_rho)) ** params.N
     if floor > params.epsilon:
         return _result(params, scheme, 0.0, "small-eps", noise_limited=True)
@@ -246,49 +228,34 @@ def density_zf_antsel(params: NetworkParams) -> DensityResult:
     lam = (
         params.epsilon
         * noise_laplace(params.zeta, params.eta, params.rho)
-        / (s_eff * interference_coeff(params.M, params.alpha)
+        / (s_eff * interference_coeff(scheme.mark_shape(params), params.alpha)
            * params.beta**delta * params.D**2)
     )
     return _result(params, scheme, lam, "small-eps")
 
 
-def density_bd(params: NetworkParams) -> DensityResult:
-    """Block diagonalization upper bound on the contention density.
-
-    lam <= F_r * epsilon * e^{-eta beta D^alpha / rho}
-           / (I_K beta^{2/alpha} D^2),  r = NM - (K-1) N^2.
-    """
-    scheme = Scheme.BD_UB
-    scheme.check_feasible(params)
-    res = small_eps_density(params, scheme, scheme.signal_dof(params),
-                            scheme.mark_shape(params))
-    return _result(params, scheme, res.lambda_eps, "upper-bound",
-                   noise_limited=res.noise_limited)
+_DENSITY_ROUTES = {
+    "gamma": lambda params, scheme: small_eps_density(
+        params, scheme, scheme.signal_dof(params), scheme.mark_shape(params)),
+    "gamma-bound": _gamma_bound_density,
+    "exponential": _exponential_density,
+    "order-statistic": _order_statistic_density,
+}
 
 
 def density_for_scheme(params: NetworkParams, scheme: Scheme,
                        method: str = "small-eps") -> DensityResult:
-    """Dispatch to the scheme's analytic density."""
-    if scheme is Scheme.DPC_MIMO_UB:
+    """Analytic maximum density and ASE of any scheme.
+
+    The one entry point: runs the closed form named by the scheme's
+    ``density_route``. ``method`` (small-eps | upper-bound | sandwich)
+    selects among the dpc-mimo-ub formulas; every other scheme has one.
+    """
+    route = scheme.spec.density_route
+    if route == "dpc-mimo":
         return density_dpc_mimo(params, method=method)
-    if scheme is Scheme.DPC_MISO:
-        return density_dpc_miso(params)
-    if scheme is Scheme.ZF_MULTI:
-        return density_zf(params, "multi")
-    if scheme is Scheme.ZF_RXZF:
-        return density_zf(params, "rx-zf")
-    if scheme is Scheme.ZF_MISO:
-        return density_zf(params, "miso")
-    if scheme is Scheme.ZF_ANTSEL:
-        return density_zf_antsel(params)
-    if scheme is Scheme.BD_UB:
-        return density_bd(params)
-    if scheme is Scheme.SISO_BASELINE:
-        scheme.check_feasible(params)
-        res = density_zf(params.replace(M=1, N=1, K=1), "miso")
-        return _result(params, scheme, res.lambda_eps, "exact-root",
-                       noise_limited=res.noise_limited)
-    raise AssertionError(scheme)
+    scheme.check_feasible(params)
+    return _DENSITY_ROUTES[route](params, scheme)
 
 
 def scaling_exponent(scheme: Scheme, alpha: float) -> float:
@@ -298,18 +265,7 @@ def scaling_exponent(scheme: Scheme, alpha: float) -> float:
     """
     if alpha <= 2:
         raise ValueError(f"alpha must be > 2, got {alpha}")
-    delta = 2.0 / alpha
-    table = {
-        Scheme.DPC_MIMO_UB: 1.0 + delta,
-        Scheme.DPC_MISO: 1.0,
-        Scheme.ZF_MISO: 1.0 - delta,
-        Scheme.ZF_ANTSEL: 1.0,
-        Scheme.ZF_MULTI: 1.0 - delta,  # K grows at fixed N, full load M = KN
-        Scheme.BD_UB: 2.0 * delta,
-        Scheme.ZF_RXZF: 1.0 - delta,
-        Scheme.SISO_BASELINE: 0.0,
-    }
-    return table[scheme]
+    return scheme.spec.exponent(2.0 / alpha)
 
 
 def exact_outage(scheme: Scheme, params: NetworkParams) -> float:
@@ -320,13 +276,11 @@ def exact_outage(scheme: Scheme, params: NetworkParams) -> float:
     exponentials).
     """
     scheme.check_feasible(params)
-    if scheme in (Scheme.ZF_MISO, Scheme.SISO_BASELINE):
-        return outage_series(1, 1.0, params.zeta, params.lam, params.alpha,
-                             scheme.mark_shape(params), params.eta_over_rho)
-    if scheme is Scheme.ZF_ANTSEL:
-        return outage_series(params.N, 1.0, params.zeta, params.lam, params.alpha,
-                             scheme.mark_shape(params), params.eta_over_rho)
-    raise ValueError(f"scheme {scheme.value} has no closed-form exact outage")
+    if scheme.spec.density_route not in ("exponential", "order-statistic"):
+        raise ValueError(f"scheme {scheme.value} has no closed-form exact outage")
+    # P(max of d unit exponentials < x) = (1 - e^{-x})^d; d = 1 is Exp(1)
+    return outage_series(scheme.signal_dof(params), 1.0, params.zeta, params.lam,
+                         params.alpha, scheme.mark_shape(params), params.eta_over_rho)
 
 
 def exact_density_root(scheme: Scheme, params: NetworkParams,

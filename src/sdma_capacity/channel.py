@@ -6,9 +6,7 @@ is stateless given an explicit numpy Generator; callers own stream derivation.
 
 Power convention: per-stream transmit power rho (the sqrt(P/M) factors of the
 received-signal model are absorbed into rho), so the signal gain and mark
-laws match their stated Gamma models exactly and rho cancels at eta = 0. The
-alternative total-power split divides the per-stream power by the stream
-count, which at the SINR level is a rescaling of eta/rho (see sinr_sample).
+laws match their stated Gamma models exactly and rho cancels at eta = 0.
 """
 
 from __future__ import annotations
@@ -138,7 +136,7 @@ def bd_precoder(channels: list[np.ndarray], scheme: Scheme = Scheme.BD_UB) -> Pr
 
 
 def signal_gain(scheme: Scheme, params: NetworkParams, rng: np.random.Generator,
-                explicit: bool = False, bd_use_mu_max: bool = False) -> float:
+                explicit: bool = False) -> float:
     """Typical-link signal power H0 under the scheme's law.
 
     With ``explicit`` the gain is produced by actually constructing channels
@@ -148,10 +146,7 @@ def signal_gain(scheme: Scheme, params: NetworkParams, rng: np.random.Generator,
     if not explicit:
         if scheme.is_order_statistic:
             return float(rng.standard_exponential(params.N).max())
-        d = scheme.signal_dof(params)
-        if scheme is Scheme.BD_UB and bd_use_mu_max:
-            raise ValueError("mu_max law has no surrogate; use explicit=True")
-        return float(rng.gamma(d, 1.0))
+        return float(rng.gamma(scheme.signal_dof(params), 1.0))
 
     m, n, k = params.M, params.N, params.K
     if scheme is Scheme.DPC_MIMO_UB:
@@ -179,9 +174,7 @@ def signal_gain(scheme: Scheme, params: NetworkParams, rng: np.random.Generator,
         return antsel_gain(params, rng, physical=False)
     if scheme is Scheme.BD_UB:
         channels = [crandn(rng, n, m) for _ in range(k)]
-        pre = bd_precoder(channels, scheme)
-        key = "mu2_max" if bd_use_mu_max else "frob2"
-        return float(pre.extras[key][0])
+        return float(bd_precoder(channels, scheme).extras["frob2"][0])
     raise AssertionError(scheme)
 
 
@@ -265,22 +258,14 @@ def aggregate_interference(scheme: Scheme, params: NetworkParams,
 
 
 def sinr_sample(scheme: Scheme, params: NetworkParams, rng: np.random.Generator,
-                explicit: bool = False, window_radius: float | None = None,
-                power_split: bool = False) -> float:
-    """One SINR realization: rho H0 D^-alpha / (rho Y + eta).
-
-    ``power_split`` switches to the total-power convention (per-stream power
-    rho / streams), which rescales both signal and interference and thus
-    only amplifies the effective noise term.
-    """
+                explicit: bool = False, window_radius: float | None = None) -> float:
+    """One SINR realization: rho H0 D^-alpha / (rho Y + eta)."""
     scheme.check_feasible(params)
     radius = default_window_radius(params) if window_radius is None else window_radius
     fld = sample_field(params.lam, radius, rng)
     h0 = signal_gain(scheme, params, rng, explicit=explicit)
     y = aggregate_interference(scheme, params, fld, rng, explicit=explicit)
     eta_eff = params.eta_over_rho
-    if power_split:
-        eta_eff *= scheme.mark_shape(params)
     return h0 * params.D ** (-params.alpha) / (y + eta_eff) if (y + eta_eff) > 0 else math.inf
 
 

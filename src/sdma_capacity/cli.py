@@ -97,7 +97,7 @@ def cmd_analytic(cfg: ExperimentConfig) -> int:
     for name in cfg.schemes:
         scheme = Scheme.from_name(name)
         m, n, k = scheme.default_config(cfg.m) if (cfg.m, cfg.n, cfg.k) == (1, 1, 1) \
-            and scheme.value != "siso" else (cfg.m, cfg.n, cfg.k)
+            else (cfg.m, cfg.n, cfg.k)
         params = cfg.network_params().replace(M=m, N=n, K=k)
         result = analytic.density_for_scheme(params, scheme, method=cfg.method)
         rows.append(reporting.density_row(params, result))

@@ -177,22 +177,15 @@ def chi2_cdf_and_bounds(d: int, x: float) -> tuple[float, float, float]:
     return exact, lower, upper
 
 
-def order_stat_coeff(N: int, alpha: float) -> float:
-    """Antenna-selection coefficient S_N.
-
-    S_N = sum_{n=1}^{N} C(N, n) (-1)^{n+1} n^{2/alpha}, which equals
-    E[H_max^{-2/alpha}] / Gamma(1 - 2/alpha) for H_max the max of N unit
-    exponentials. Decreasing in N (selection gain grows).
-    """
-    return weighted_alternating_coeff(N, alpha, 0.0)
-
-
 def weighted_alternating_coeff(d: int, alpha: float, a: float) -> float:
     """Exponentially weighted alternating coefficient
 
         S = sum_{n=1}^{d} C(d, n) (-1)^{n+1} n^{2/alpha} e^{-n a},  a >= 0.
 
-    The small-density linear coefficient of the outage series. Direct
+    The small-density linear coefficient of the outage series. At a = 0 it
+    is the antenna-selection coefficient S_d = E[H_max^{-2/alpha}] /
+    Gamma(1 - 2/alpha), H_max the max of d unit exponentials, decreasing in
+    d (the selection gain grows). Direct
     compensated summation up to d = 40; beyond that the equivalent integral
 
         S = (1/Gamma(1-delta)) * int_0^inf t^{-delta} d e^{-(t+a)}

@@ -236,11 +236,6 @@ def find_max_density(scheme: Scheme, params: NetworkParams, seed: int,
         extras={"seed": seed, "probes": probe_index})
 
 
-def _sweep_axis(scheme: Scheme, m: int, n: int) -> int:
-    # BD sweeps scale in N at fixed K; everything else in M
-    return n if scheme is Scheme.BD_UB else m
-
-
 def run_sweep(schemes: list[Scheme], antenna_grid: list[tuple[int, int, int]],
               params: NetworkParams, mode: str = "analytic", seed: int = 0,
               tolerance: float = 0.02, explicit: bool = False,
@@ -259,7 +254,8 @@ def run_sweep(schemes: list[Scheme], antenna_grid: list[tuple[int, int, int]],
         raise ValueError(f"unknown mode {mode!r}")
     rows: list[SweepRow] = []
     for scheme in schemes:
-        for m, n, k in sorted(antenna_grid, key=lambda t: _sweep_axis(scheme, t[0], t[1])):
+        axis = scheme.spec.sweep_axis
+        for m, n, k in sorted(antenna_grid, key=lambda t: axis(t[0], t[1])):
             p = params.replace(M=m, N=n, K=k)
             if mode in ("analytic", "both"):
                 try:
@@ -283,7 +279,7 @@ def run_sweep(schemes: list[Scheme], antenna_grid: list[tuple[int, int, int]],
     slopes = {}
     for scheme in schemes:
         for method in {r.method for r in rows if r.scheme is scheme}:
-            pts = [(_sweep_axis(scheme, r.M, r.N), r.ase) for r in rows
+            pts = [(scheme.spec.sweep_axis(r.M, r.N), r.ase) for r in rows
                    if r.scheme is scheme and r.method == method
                    and r.error is None and r.ase and r.ase > 0]
             if len(pts) >= 4:

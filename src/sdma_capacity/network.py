@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 
 @dataclass(frozen=True)
@@ -78,6 +79,8 @@ class Scheme(Enum):
     simulator: the signal-gain law of the typical link (Gamma shape, or max
     of N unit exponentials for antenna selection) and the shape of the
     Gamma-distributed interference mark attached to each Poisson interferer.
+    Everything else that differs between schemes is one row of the spec
+    table below; the methods here read it.
     """
 
     DPC_MIMO_UB = "dpc-mimo-ub"
@@ -97,30 +100,15 @@ class Scheme(Enum):
         valid = ", ".join(s.value for s in cls)
         raise ValueError(f"unknown scheme {name!r}; valid schemes: {valid}")
 
+    @property
+    def spec(self) -> "SchemeSpec":
+        return _SPECS[self]
+
     def check_feasible(self, p: NetworkParams) -> None:
         """Raise ValueError if the antenna configuration is infeasible."""
-        if self is Scheme.SISO_BASELINE:
-            if not (p.M == 1 and p.N == 1 and p.K == 1):
-                raise ValueError("siso baseline requires M = N = K = 1")
-        elif self in (Scheme.DPC_MISO, Scheme.ZF_MISO):
-            if p.N != 1:
-                raise ValueError(f"{self.value} requires N = 1, got N={p.N}")
-            if p.K != p.M:
-                raise ValueError(f"{self.value} serves K = M receivers, got K={p.K}, M={p.M}")
-        elif self is Scheme.ZF_ANTSEL:
-            if p.K != p.M:
-                raise ValueError(f"zf-antsel serves K = M receivers, got K={p.K}, M={p.M}")
-        elif self in (Scheme.ZF_MULTI, Scheme.BD_UB):
-            if p.M < p.K * p.N:
-                raise ValueError(
-                    f"{self.value} requires M >= K*N, got M={p.M}, K={p.K}, N={p.N}"
-                )
-        elif self is Scheme.ZF_RXZF:
-            if p.N <= p.M:
-                raise ValueError(f"zf-rxzf requires N > M, got M={p.M}, N={p.N}")
-        elif self is Scheme.DPC_MIMO_UB:
-            if p.K != p.M:
-                raise ValueError(f"dpc-mimo-ub serves K = M receivers, got K={p.K}, M={p.M}")
+        for holds, message in _SPECS[self].feasibility:
+            if not holds(p):
+                raise ValueError(message.format(name=self.value, p=p))
 
     def signal_dof(self, p: NetworkParams) -> int:
         """Shape of the Gamma(d, 1) signal-gain law.
@@ -129,52 +117,100 @@ class Scheme(Enum):
         Gamma variate; this returns N there (callers that need the order
         statistic must branch on ``is_order_statistic``).
         """
-        if self is Scheme.DPC_MIMO_UB:
-            return p.M * p.N
-        if self is Scheme.DPC_MISO:
-            return p.M
-        if self is Scheme.ZF_MULTI:
-            return p.M - p.K * p.N + 1
-        if self is Scheme.ZF_RXZF:
-            return p.N - p.M + 1
-        if self in (Scheme.ZF_MISO, Scheme.SISO_BASELINE):
-            return 1
-        if self is Scheme.BD_UB:
-            return p.N * p.M - (p.K - 1) * p.N**2
-        if self is Scheme.ZF_ANTSEL:
-            return p.N
-        raise AssertionError(self)
+        return _SPECS[self].signal_dof(p)
 
     @property
     def is_order_statistic(self) -> bool:
-        return self is Scheme.ZF_ANTSEL
+        return _SPECS[self].density_route == "order-statistic"
 
     def mark_shape(self, p: NetworkParams) -> int:
         """Shape of the Gamma(m, 1) interference-mark law."""
-        if self is Scheme.ZF_MULTI:
-            return p.K * p.N
-        if self is Scheme.BD_UB:
-            return p.K
-        if self is Scheme.SISO_BASELINE:
-            return 1
-        # DPC variants, antenna selection, ZF MISO, receive-ZF: M streams
-        return p.M
+        return _SPECS[self].mark_shape(p)
 
     def default_config(self, antennas: int) -> tuple[int, int, int]:
         """(M, N, K) for an antenna-sweep point (matched-antenna conventions)."""
-        a = antennas
-        if self in (Scheme.DPC_MIMO_UB, Scheme.ZF_ANTSEL):
-            return a, a, a
-        if self in (Scheme.DPC_MISO, Scheme.ZF_MISO):
-            return a, 1, a
-        if self is Scheme.ZF_MULTI:
-            # fully loaded M = KN: the user count grows, two antennas each
-            return 2 * a, 2, a
-        if self is Scheme.BD_UB:
-            # two served users at full load M = KN; sweep is over N
-            return 2 * a, a, 2
-        if self is Scheme.ZF_RXZF:
-            return a, 2 * a, 1
-        if self is Scheme.SISO_BASELINE:
-            return 1, 1, 1
-        raise AssertionError(self)
+        return _SPECS[self].default_config(antennas)
+
+
+@dataclass(frozen=True)
+class SchemeSpec:
+    """One row of the scheme table: all that sets a scheme apart.
+
+    feasibility     (condition, message) pairs checked in order; a message
+                    is formatted with the scheme ``name`` and the params ``p``
+    density_route   the closed form ``analytic.density_for_scheme`` runs:
+                    "dpc-mimo" (small-eps | upper-bound | sandwich switch),
+                    "gamma" (small-outage formula for a Gamma signal),
+                    "gamma-bound" (the same formula read as an upper bound),
+                    "exponential" (exact root for an Exp(1) signal) or
+                    "order-statistic" (max of N unit exponentials)
+    signal_dof      d of the Gamma(d, 1) signal law (N for antenna selection)
+    mark_shape      m of the Gamma(m, 1) interference-mark law
+    default_config  (M, N, K) of one antenna count in a sweep
+    sweep_axis      (M, N) -> the antenna count a sweep's slope is fitted on
+    exponent        theoretical ASE scaling exponent along that sweep, as a
+                    function of delta = 2/alpha
+    """
+
+    feasibility: tuple[tuple[Callable[[NetworkParams], bool], str], ...]
+    density_route: str
+    signal_dof: Callable[[NetworkParams], int]
+    mark_shape: Callable[[NetworkParams], int]
+    default_config: Callable[[int], tuple[int, int, int]]
+    sweep_axis: Callable[[int, int], int]
+    exponent: Callable[[float], float]
+
+
+_K_IS_M = (lambda p: p.K == p.M,
+           "{name} serves K = M receivers, got K={p.K}, M={p.M}")
+_N_IS_1 = (lambda p: p.N == 1, "{name} requires N = 1, got N={p.N}")
+_FULL_LOAD = (lambda p: p.M >= p.K * p.N,
+              "{name} requires M >= K*N, got M={p.M}, K={p.K}, N={p.N}")
+_N_ABOVE_M = (lambda p: p.N > p.M, "{name} requires N > M, got M={p.M}, N={p.N}")
+_SINGLE = (lambda p: p.M == 1 and p.N == 1 and p.K == 1,
+           "siso baseline requires M = N = K = 1")
+
+_SPECS = {
+    Scheme.DPC_MIMO_UB: SchemeSpec(
+        feasibility=(_K_IS_M,), density_route="dpc-mimo",
+        signal_dof=lambda p: p.M * p.N, mark_shape=lambda p: p.M,
+        default_config=lambda a: (a, a, a), sweep_axis=lambda m, n: m,
+        exponent=lambda delta: 1.0 + delta),
+    Scheme.DPC_MISO: SchemeSpec(
+        feasibility=(_N_IS_1, _K_IS_M), density_route="gamma",
+        signal_dof=lambda p: p.M, mark_shape=lambda p: p.M,
+        default_config=lambda a: (a, 1, a), sweep_axis=lambda m, n: m,
+        exponent=lambda delta: 1.0),
+    Scheme.ZF_MULTI: SchemeSpec(
+        feasibility=(_FULL_LOAD,), density_route="gamma",
+        signal_dof=lambda p: p.M - p.K * p.N + 1, mark_shape=lambda p: p.K * p.N,
+        # fully loaded M = KN: the user count grows, two antennas each
+        default_config=lambda a: (2 * a, 2, a), sweep_axis=lambda m, n: m,
+        exponent=lambda delta: 1.0 - delta),
+    Scheme.ZF_RXZF: SchemeSpec(
+        feasibility=(_N_ABOVE_M,), density_route="gamma",
+        signal_dof=lambda p: p.N - p.M + 1, mark_shape=lambda p: p.M,
+        default_config=lambda a: (a, 2 * a, 1), sweep_axis=lambda m, n: m,
+        exponent=lambda delta: 1.0 - delta),
+    Scheme.ZF_ANTSEL: SchemeSpec(
+        feasibility=(_K_IS_M,), density_route="order-statistic",
+        signal_dof=lambda p: p.N, mark_shape=lambda p: p.M,
+        default_config=lambda a: (a, a, a), sweep_axis=lambda m, n: m,
+        exponent=lambda delta: 1.0),
+    Scheme.ZF_MISO: SchemeSpec(
+        feasibility=(_N_IS_1, _K_IS_M), density_route="exponential",
+        signal_dof=lambda p: 1, mark_shape=lambda p: p.M,
+        default_config=lambda a: (a, 1, a), sweep_axis=lambda m, n: m,
+        exponent=lambda delta: 1.0 - delta),
+    Scheme.BD_UB: SchemeSpec(
+        feasibility=(_FULL_LOAD,), density_route="gamma-bound",
+        signal_dof=lambda p: p.N * p.M - (p.K - 1) * p.N**2, mark_shape=lambda p: p.K,
+        # two served users at full load M = KN; sweep and exponent are in N
+        default_config=lambda a: (2 * a, a, 2), sweep_axis=lambda m, n: n,
+        exponent=lambda delta: 2.0 * delta),
+    Scheme.SISO_BASELINE: SchemeSpec(
+        feasibility=(_SINGLE,), density_route="exponential",
+        signal_dof=lambda p: 1, mark_shape=lambda p: 1,
+        default_config=lambda a: (1, 1, 1), sweep_axis=lambda m, n: m,
+        exponent=lambda delta: 0.0),
+}

@@ -18,8 +18,6 @@ from sdma_capacity.analytic import (
     density_dpc_mimo,
     density_for_scheme,
     density_sandwich,
-    density_zf,
-    density_zf_antsel,
     exact_density_root,
     outage_bracket,
     small_eps_density,
@@ -78,7 +76,7 @@ def test_criterion_3_zf_miso_closed_form():
     details, ok = [], True
     for m in (2, 4):
         p = BASE.replace(M=m, N=1, K=m)
-        closed = density_zf(p, "miso").lambda_eps
+        closed = density_for_scheme(p, Scheme.ZF_MISO).lambda_eps
         mc = find_max_density(Scheme.ZF_MISO, p, seed=303, tolerance=0.02).lambda_eps
         rel = abs(mc / closed - 1)
         ok = ok and rel <= 0.05
@@ -200,8 +198,8 @@ def test_criterion_7_ordering_m8():
     p_sel = BASE.replace(M=8, N=8, K=8)
     p_miso = BASE.replace(M=8, N=1, K=8)
     a_dpc = density_dpc_mimo(p_dpc).ase
-    a_sel = density_zf_antsel(p_sel).ase
-    a_miso = density_zf(p_miso, "miso").ase
+    a_sel = density_for_scheme(p_sel, Scheme.ZF_ANTSEL).ase
+    a_miso = density_for_scheme(p_miso, Scheme.ZF_MISO).ase
     analytic_ok = a_dpc > a_sel > a_miso
 
     mc = {}
@@ -248,7 +246,7 @@ def test_criterion_9_small_eps_consistency():
             if scheme is Scheme.ZF_MISO:
                 lin = small_eps_density(pe, scheme, 1, pe.M).lambda_eps
             else:
-                lin = density_zf_antsel(pe).lambda_eps
+                lin = density_for_scheme(pe, Scheme.ZF_ANTSEL).lambda_eps
             root = exact_density_root(scheme, pe).lambda_eps
             devs.append(abs(lin / root - 1))
         mono = devs[0] > devs[1] > devs[2]

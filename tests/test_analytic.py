@@ -7,13 +7,9 @@ import pytest
 
 from sdma_capacity.analytic import (
     area_spectral_efficiency,
-    density_bd,
     density_dpc_mimo,
-    density_dpc_miso,
     density_for_scheme,
     density_sandwich,
-    density_zf,
-    density_zf_antsel,
     exact_density_root,
     exact_outage,
     noise_floor_outage,
@@ -26,7 +22,7 @@ from sdma_capacity.kernels import (
     f_coeff,
     interference_coeff,
     laplace_field,
-    order_stat_coeff,
+    weighted_alternating_coeff,
 )
 from sdma_capacity.montecarlo import fit_ase_slope
 from sdma_capacity.network import NetworkParams, Scheme
@@ -167,20 +163,20 @@ class TestDpcMiso:
     def test_matches_mimo_with_one_receive_antenna(self):
         for m in (2, 4, 8):
             p = miso_params(m)
-            a = density_dpc_miso(p).lambda_eps
+            a = density_for_scheme(p, Scheme.DPC_MISO).lambda_eps
             b = density_dpc_mimo(p).lambda_eps
             assert a == pytest.approx(b, rel=1e-12)
 
     def test_slope_near_linear(self):
         ms = [2, 4, 8, 16]
-        ases = [density_dpc_miso(miso_params(m)).ase for m in ms]
+        ases = [density_for_scheme(miso_params(m), Scheme.DPC_MISO).ase for m in ms]
         assert fit_ase_slope(ms, ases) == pytest.approx(1.0, abs=0.1)
 
 
 class TestZf:
     def test_miso_closed_form_m1(self):
         p = BASE.replace(M=1, N=1, K=1)
-        res = density_zf(p, "miso")
+        res = density_for_scheme(p, Scheme.ZF_MISO)
         ref = -math.log(0.9) / (interference_coeff(1, 4) * math.sqrt(3) * 100.0)
         assert res.lambda_eps == pytest.approx(ref, rel=1e-12)
         assert res.lambda_eps == pytest.approx(1.2327e-4, rel=1e-4)
@@ -189,51 +185,54 @@ class TestZf:
         # eta zeta / rho > -log(1-eps): density clamps to zero
         p = miso_params(2).replace(eta=1e-4)
         assert p.zeta * p.eta_over_rho > -math.log1p(-p.epsilon)
-        res = density_zf(p, "miso")
+        res = density_for_scheme(p, Scheme.ZF_MISO)
         assert res.lambda_eps == 0.0
         assert res.noise_limited
 
     def test_multi_slope_fully_loaded(self):
         # full load M = KN with N = 2: ASE grows like M^{1 - 2/alpha}
         grid = [(2 * a, 2, a) for a in (2, 4, 8, 16)]
-        ases = [density_zf(BASE.replace(M=m, N=n, K=k), "multi").ase
+        ases = [density_for_scheme(BASE.replace(M=m, N=n, K=k), Scheme.ZF_MULTI).ase
                 for m, n, k in grid]
         assert fit_ase_slope([g[0] for g in grid], ases) == pytest.approx(
             0.5, abs=0.1)
 
     def test_rxzf_law(self):
         p = BASE.replace(M=2, N=4, K=1)
-        res = density_zf(p, "rx-zf")
+        res = density_for_scheme(p, Scheme.ZF_RXZF)
         ref = small_eps_density(p, Scheme.ZF_RXZF, 3, 2).lambda_eps
         assert res.lambda_eps == pytest.approx(ref, rel=1e-12)
 
     def test_infeasible_combinations(self):
         with pytest.raises(ValueError):
-            density_zf(BASE.replace(M=2, N=2, K=2), "multi")  # M < KN
+            # M < KN
+            density_for_scheme(BASE.replace(M=2, N=2, K=2), Scheme.ZF_MULTI)
         with pytest.raises(ValueError):
-            density_zf(BASE.replace(M=4, N=4, K=1), "rx-zf")  # N <= M
+            # N <= M
+            density_for_scheme(BASE.replace(M=4, N=4, K=1), Scheme.ZF_RXZF)
         with pytest.raises(ValueError):
-            density_zf(BASE.replace(M=2, N=2, K=2), "miso")  # N != 1
-        with pytest.raises(ValueError):
-            density_zf(BASE, "bogus")
+            # N != 1
+            density_for_scheme(BASE.replace(M=2, N=2, K=2), Scheme.ZF_MISO)
 
 
 class TestAntsel:
     def test_n1_equals_miso_small_eps(self):
         p = BASE.replace(M=2, N=1, K=2)
-        res = density_zf_antsel(p)
+        res = density_for_scheme(p, Scheme.ZF_ANTSEL)
         ref = small_eps_density(p, Scheme.ZF_ANTSEL, 1, 2).lambda_eps
         assert res.lambda_eps == pytest.approx(ref, rel=1e-12)
 
     def test_selection_gain_ratio_n2(self):
         p1 = BASE.replace(M=2, N=1, K=2)
         p2 = BASE.replace(M=2, N=2, K=2)
-        ratio = density_zf_antsel(p2).lambda_eps / density_zf_antsel(p1).lambda_eps
+        ratio = (density_for_scheme(p2, Scheme.ZF_ANTSEL).lambda_eps
+                 / density_for_scheme(p1, Scheme.ZF_ANTSEL).lambda_eps)
         assert ratio == pytest.approx(1.0 / (2 - math.sqrt(2)), rel=1e-12)
 
     def test_noise_weighting_reduces_density(self):
-        clean = density_zf_antsel(BASE.replace(M=2, N=2, K=2)).lambda_eps
-        noisy = density_zf_antsel(BASE.replace(M=2, N=2, K=2, eta=1e-6)).lambda_eps
+        p = BASE.replace(M=2, N=2, K=2)
+        clean = density_for_scheme(p, Scheme.ZF_ANTSEL).lambda_eps
+        noisy = density_for_scheme(p.replace(eta=1e-6), Scheme.ZF_ANTSEL).lambda_eps
         assert 0 < noisy < clean
 
 
@@ -241,7 +240,7 @@ class TestBd:
     def test_single_user_reduction(self):
         # K = 1, N = 1: dof M, marks Gamma(1)
         p = BASE.replace(M=4, N=1, K=1)
-        res = density_bd(p)
+        res = density_for_scheme(p, Scheme.BD_UB)
         ref = (f_coeff(4, 4) * 0.1
                / (interference_coeff(1, 4) * math.sqrt(3) * 100.0))
         assert res.lambda_eps == pytest.approx(ref, rel=1e-12)
@@ -249,7 +248,8 @@ class TestBd:
 
     def test_slope_in_n_at_k2(self):
         ns = [2, 4, 8, 16]
-        ases = [density_bd(BASE.replace(M=2 * n, N=n, K=2)).ase for n in ns]
+        ases = [density_for_scheme(BASE.replace(M=2 * n, N=n, K=2), Scheme.BD_UB).ase
+                for n in ns]
         assert fit_ase_slope(ns, ases) == pytest.approx(4 / 4, abs=0.15)
 
 
@@ -308,8 +308,8 @@ class TestExactOutageAndRoot:
         p = BASE.replace(M=2, N=2, K=2, lam=1e-6)
         got = exact_outage(Scheme.ZF_ANTSEL, p)
         # small-density linearization with coefficient S_2 = 2 - sqrt(2)
-        lin = (p.lam * order_stat_coeff(2, 4) * interference_coeff(2, 4)
-               * p.zeta ** 0.5)
+        lin = (p.lam * weighted_alternating_coeff(2, 4, 0.0)
+               * interference_coeff(2, 4) * p.zeta ** 0.5)
         assert got == pytest.approx(lin, rel=0.02)
 
     def test_exact_outage_unsupported(self):
@@ -320,13 +320,13 @@ class TestExactOutageAndRoot:
         for m in (1, 2, 4):
             p = miso_params(m)
             root = exact_density_root(Scheme.ZF_MISO, p).lambda_eps
-            closed = density_zf(p, "miso").lambda_eps
+            closed = density_for_scheme(p, Scheme.ZF_MISO).lambda_eps
             assert root == pytest.approx(closed, rel=2e-6)
 
     def test_small_eps_converges_to_root(self):
         p = BASE.replace(M=2, N=2, K=2, epsilon=1e-3)
         root = exact_density_root(Scheme.ZF_ANTSEL, p).lambda_eps
-        lin = density_zf_antsel(p).lambda_eps
+        lin = density_for_scheme(p, Scheme.ZF_ANTSEL).lambda_eps
         assert lin == pytest.approx(root, rel=0.02)
 
     def test_antsel_root_beats_miso_root(self):

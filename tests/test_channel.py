@@ -192,12 +192,6 @@ class TestSignalGain:
         ok, stat, crit = ks_ok(x, lambda t: gammainc(2, t))
         assert ok, f"KS stat {stat:.4f} >= {crit:.4f}"
 
-    def test_bd_mu_max_needs_explicit(self):
-        rng = np.random.default_rng(18)
-        p = BASE.replace(M=4, N=2, K=2)
-        with pytest.raises(ValueError):
-            signal_gain(Scheme.BD_UB, p, rng, bd_use_mu_max=True)
-
     def test_physical_antsel_within_model_brackets(self):
         # selection-then-ZF gain is positive and below the pre-selection norm
         rng = np.random.default_rng(19)
@@ -279,13 +273,6 @@ class TestSinr:
         a = sinr_sample(Scheme.SISO_BASELINE, p1, np.random.default_rng(28))
         b = sinr_sample(Scheme.SISO_BASELINE, p2, np.random.default_rng(28))
         assert a == b
-
-    def test_power_split_only_hurts(self):
-        p = BASE.replace(M=4, N=1, K=4, eta=1e-6)
-        a = sinr_sample(Scheme.ZF_MISO, p, np.random.default_rng(29))
-        b = sinr_sample(Scheme.ZF_MISO, p, np.random.default_rng(29),
-                        power_split=True)
-        assert b <= a
 
     def test_window_truncation_stable(self):
         # doubling the disc radius moves the outage rate by less than the

@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 from sdma_capacity import cli, reporting
-from sdma_capacity.analytic import density_zf
+from sdma_capacity.analytic import density_for_scheme
 from sdma_capacity.config import ConfigError, ExperimentConfig
 from sdma_capacity.montecarlo import InconclusiveBisection
 from sdma_capacity.network import NetworkParams, Scheme
@@ -148,7 +148,8 @@ class TestCliSimulate:
                        "--tolerance", "0.05", "--out", str(out)])
         assert rc == cli.EXIT_OK
         row = read_csv(out)[0]
-        closed = density_zf(NetworkParams(M=2, N=1, K=2), "miso").lambda_eps
+        closed = density_for_scheme(NetworkParams(M=2, N=1, K=2),
+                                    Scheme.ZF_MISO).lambda_eps
         assert float(row["lambda_eps"]) == pytest.approx(closed, rel=0.10)
         assert row["method"] == "mc-root"
 

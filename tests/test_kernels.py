@@ -18,7 +18,6 @@ from sdma_capacity.kernels import (
     laplace_field,
     noise_laplace,
     noise_laplace_bound,
-    order_stat_coeff,
     outage_series,
     sandwich_theta,
     weighted_alternating_coeff,
@@ -237,10 +236,11 @@ class TestChi2Bounds:
 
 class TestOrderStatCoeff:
     def test_n1(self):
-        assert order_stat_coeff(1, 4) == pytest.approx(1.0, rel=1e-14)
+        assert weighted_alternating_coeff(1, 4, 0.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_n2_alpha4(self):
-        assert order_stat_coeff(2, 4) == pytest.approx(2 - math.sqrt(2), rel=1e-12)
+        assert weighted_alternating_coeff(2, 4, 0.0) == pytest.approx(
+            2 - math.sqrt(2), rel=1e-12)
 
     def test_moment_oracle(self):
         # E[max(E1, E2)^{-1/2}] / Gamma(1/2) over 10^6 samples
@@ -248,10 +248,10 @@ class TestOrderStatCoeff:
         moments = samples**-0.5
         est = moments.mean() / math.gamma(0.5)
         se = moments.std(ddof=1) / math.sqrt(moments.size) / math.gamma(0.5)
-        assert abs(order_stat_coeff(2, 4) - est) < 3 * se
+        assert abs(weighted_alternating_coeff(2, 4, 0.0) - est) < 3 * se
 
     def test_monotone_decreasing(self):
-        vals = [order_stat_coeff(n, 4) for n in range(1, 30)]
+        vals = [weighted_alternating_coeff(n, 4, 0.0) for n in range(1, 30)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_quadrature_fallback_matches_series(self):
@@ -263,12 +263,15 @@ class TestOrderStatCoeff:
                 ref = float(mpmath.nsum(
                     lambda n: mpmath.binomial(64, n) * (-1) ** (n + 1) * n**d2,
                     [1, 64]))
-            assert order_stat_coeff(64, alpha) == pytest.approx(ref, rel=1e-8)
+            assert weighted_alternating_coeff(64, alpha, 0.0) == pytest.approx(ref, rel=1e-8)
 
     def test_weighted_reduces_to_plain(self):
+        # at a = 0 the weights drop out: the plain sum C(n, k) (-1)^{k+1} k^{1/2}
         for n in (2, 5, 9):
+            plain = math.fsum(math.comb(n, k) * (-1) ** (k + 1) * k**0.5
+                              for k in range(1, n + 1))
             assert weighted_alternating_coeff(n, 4, 0.0) == pytest.approx(
-                order_stat_coeff(n, 4), rel=1e-13)
+                plain, rel=1e-13)
 
 
 class TestOutageSeries:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import gammainc
 
-from sdma_capacity.analytic import density_zf, exact_outage
+from sdma_capacity.analytic import density_for_scheme, exact_outage
 from sdma_capacity.montecarlo import (
     BATCH_SIZE,
     InconclusiveBisection,
@@ -105,7 +105,7 @@ class TestFindMaxDensity:
     def test_recovers_exact_miso_m2(self):
         p = BASE.replace(M=2, N=1, K=2)
         res = find_max_density(Scheme.ZF_MISO, p, seed=5, tolerance=0.03)
-        closed = density_zf(p, "miso").lambda_eps
+        closed = density_for_scheme(p, Scheme.ZF_MISO).lambda_eps
         assert res.lambda_eps == pytest.approx(closed, rel=0.08)
         assert res.lambda_lower <= res.lambda_eps <= res.lambda_upper
 
