@@ -244,7 +244,8 @@ def run_sweep(schemes: list[Scheme], antenna_grid: list[tuple[int, int, int]],
     """Density/ASE over an antenna grid with per-scheme log-log slope fits.
 
     ``antenna_grid`` rows are (M, N, K). Per-row failures are recorded in
-    the row and the sweep continues. Slopes need at least four grid points.
+    the row and the sweep continues. A slope needs at least four grid points
+    over at least two distinct axis values; otherwise it is None.
     """
     if not schemes:
         raise ValueError("scheme list is empty")
@@ -282,9 +283,9 @@ def run_sweep(schemes: list[Scheme], antenna_grid: list[tuple[int, int, int]],
             pts = [(scheme.spec.sweep_axis(r.M, r.N), r.ase) for r in rows
                    if r.scheme is scheme and r.method == method
                    and r.error is None and r.ase and r.ase > 0]
-            if len(pts) >= 4:
-                x, y = zip(*pts)
-                slope = float(np.polyfit(np.log(x), np.log(y), 1)[0])
+            # a fixed-size scheme (siso) sweeps one axis value: no slope
+            if len(pts) >= 4 and len({x for x, _ in pts}) >= 2:
+                slope = fit_ase_slope(*zip(*pts))
             else:
                 slope = None
             slopes[(scheme.value, method)] = slope

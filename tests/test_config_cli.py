@@ -191,6 +191,18 @@ class TestCliSweep:
         slope = doc["slopes"]["dpc-miso/small-eps"]
         assert slope == pytest.approx(1.0, abs=0.1)
 
+    def test_siso_sweep_has_null_slope(self, tmp_path, capsys):
+        # siso has one antenna count at every grid point: no slope to fit
+        out = tmp_path / "sweep.json"
+        rc = cli.main(["sweep", "--scheme", "siso", "--grid", "2,4,8,16,32",
+                       "--format", "json", "--out", str(out)])
+        assert rc == cli.EXIT_OK
+        doc = json.loads(out.read_text())
+        jsonschema.validate(doc, reporting.load_schema())
+        assert doc["slopes"] == {"siso/exact-root": None}
+        assert len(doc["rows"]) == 5
+        assert "slope siso [exact-root]: undefined" in capsys.readouterr().out
+
     def test_single_point_grid_rejected(self, tmp_path):
         rc = cli.main(["sweep", "--scheme", "zf-miso", "--grid", "4",
                        "--out", str(tmp_path / "x.csv")])
