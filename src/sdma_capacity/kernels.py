@@ -185,8 +185,10 @@ def weighted_alternating_coeff(d: int, alpha: float, a: float) -> float:
     The small-density linear coefficient of the outage series. At a = 0 it
     is the antenna-selection coefficient S_d = E[H_max^{-2/alpha}] /
     Gamma(1 - 2/alpha), H_max the max of d unit exponentials, decreasing in
-    d (the selection gain grows). Direct
-    compensated summation up to d = 40; beyond that the equivalent integral
+    d (the selection gain grows).
+
+    Direct compensated summation up to d = 40; beyond that the equivalent
+    integral
 
         S = (1/Gamma(1-delta)) * int_0^inf t^{-delta} d e^{-(t+a)}
             (1 - e^{-(t+a)})^{d-1} dt,  delta = 2/alpha

@@ -263,7 +263,8 @@ class TestOrderStatCoeff:
                 ref = float(mpmath.nsum(
                     lambda n: mpmath.binomial(64, n) * (-1) ** (n + 1) * n**d2,
                     [1, 64]))
-            assert weighted_alternating_coeff(64, alpha, 0.0) == pytest.approx(ref, rel=1e-8)
+            assert weighted_alternating_coeff(64, alpha, 0.0) == pytest.approx(
+                ref, rel=1e-8)
 
     def test_weighted_reduces_to_plain(self):
         # at a = 0 the weights drop out: the plain sum C(n, k) (-1)^{k+1} k^{1/2}
