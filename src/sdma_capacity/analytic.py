@@ -185,15 +185,18 @@ def density_sandwich(params: NetworkParams, d: int,
     return max(lower, 0.0), max(upper, 0.0)
 
 
+def _gamma_density(params: NetworkParams, scheme: Scheme) -> DensityResult:
+    return small_eps_density(params, scheme, scheme.signal_dof(params),
+                             scheme.mark_shape(params))
+
+
 def _gamma_bound_density(params: NetworkParams, scheme: Scheme) -> DensityResult:
     """Block diagonalization: the small-outage formula is an upper bound.
 
     lam <= F_r * epsilon * e^{-eta beta D^alpha / rho}
            / (I_K beta^{2/alpha} D^2),  r = NM - (K-1) N^2.
     """
-    res = small_eps_density(params, scheme, scheme.signal_dof(params),
-                            scheme.mark_shape(params))
-    return dataclasses.replace(res, method="upper-bound")
+    return dataclasses.replace(_gamma_density(params, scheme), method="upper-bound")
 
 
 def _exponential_density(params: NetworkParams, scheme: Scheme) -> DensityResult:
@@ -235,8 +238,7 @@ def _order_statistic_density(params: NetworkParams, scheme: Scheme) -> DensityRe
 
 
 _DENSITY_ROUTES = {
-    "gamma": lambda params, scheme: small_eps_density(
-        params, scheme, scheme.signal_dof(params), scheme.mark_shape(params)),
+    "gamma": _gamma_density,
     "gamma-bound": _gamma_bound_density,
     "exponential": _exponential_density,
     "order-statistic": _order_statistic_density,
