@@ -21,6 +21,7 @@ from .channel import default_window_radius, sinr_sample
 from .network import NetworkParams, Scheme
 
 BATCH_SIZE = 4096
+_BLOCK_POINTS = 1 << 15  # interferer points per in-cache block of a batch
 WORKER_ENV_VAR = "SDMA_WORKERS"
 
 
@@ -94,18 +95,31 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
 
 def _surrogate_batch_outages(scheme: Scheme, params: NetworkParams, n: int,
                              rng: np.random.Generator) -> int:
-    """Vectorized law-based trials; returns the batch outage count."""
+    """Vectorized law-based trials; returns the batch outage count.
+
+    Marks are drawn and summed in in-cache blocks of whole trials; the draws
+    and each trial's summation order are those of one pass over the batch.
+    """
     radius = default_window_radius(params)
     counts = rng.poisson(params.lam * math.pi * radius**2, size=n)
+    y = np.zeros(n)
     total = int(counts.sum())
     if total:
-        r2 = radius**2 * rng.random(total)
-        marks = rng.gamma(scheme.mark_shape(params), 1.0, size=total)
-        contrib = marks * r2 ** (-params.alpha / 2.0)
-        idx = np.repeat(np.arange(n), counts)
-        y = np.bincount(idx, weights=contrib, minlength=n)
-    else:
-        y = np.zeros(n)
+        r2 = rng.random(total)
+        r2 *= radius**2
+        shape = scheme.mark_shape(params)
+        ends = np.cumsum(counts)
+        t0 = p0 = 0
+        while t0 < n:
+            t1 = max(t0 + 1, int(np.searchsorted(ends, p0 + _BLOCK_POINTS, side="right")))
+            p1 = int(ends[t1 - 1])
+            contrib = rng.gamma(shape, 1.0, size=p1 - p0)
+            pathloss = r2[p0:p1]
+            np.power(pathloss, -params.alpha / 2.0, out=pathloss)
+            contrib *= pathloss
+            idx = np.repeat(np.arange(t1 - t0), counts[t0:t1])
+            y[t0:t1] = np.bincount(idx, weights=contrib, minlength=t1 - t0)
+            t0, p0 = t1, p1
     if scheme.is_order_statistic:
         h0 = rng.standard_exponential((n, params.N)).max(axis=1)
     else:
@@ -142,19 +156,32 @@ def estimate_outage(scheme: Scheme, params: NetworkParams, trials: int,
     worker count: batches are keyed by (seed, batch index) and only integer
     counts are aggregated.
     """
+    return _estimate(scheme, params, trials, seed, explicit, workers, {})
+
+
+def _estimate(scheme: Scheme, params: NetworkParams, trials: int, seed: int,
+              explicit: bool, workers: int | None, known: dict[int, int]
+              ) -> OutageEstimate:
+    """``estimate_outage`` that reuses and extends ``known``: full-batch
+    outage counts by batch index, from earlier calls on the same (scheme,
+    params, seed, explicit), as when a density probe doubles its trials.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     scheme.check_feasible(params)
     n_full, rem = divmod(trials, BATCH_SIZE)
-    sizes = [BATCH_SIZE] * n_full + ([rem] if rem else [])
-    jobs = [(scheme, params, seed, i, n, explicit) for i, n in enumerate(sizes)]
+    jobs = [(scheme, params, seed, i, BATCH_SIZE, explicit)
+            for i in range(n_full) if i not in known]
+    if rem:
+        jobs.append((scheme, params, seed, n_full, rem, explicit))
     nw = _worker_count(workers)
     if nw > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=nw) as pool:
             counts = list(pool.map(_count_batch, jobs, chunksize=max(1, len(jobs) // (4 * nw))))
     else:
         counts = [_count_batch(j) for j in jobs]
-    outages = int(sum(counts))
+    known.update((job[3], c) for job, c in zip(jobs, counts) if job[4] == BATCH_SIZE)
+    outages = sum(known[i] for i in range(n_full)) + (counts[-1] if rem else 0)
     lo, hi = wilson_interval(outages, trials)
     return OutageEstimate(p_hat=outages / trials, ci_low=lo, ci_high=hi,
                           trials=trials, seed=seed, scheme=scheme, params=params)
@@ -184,9 +211,10 @@ def find_max_density(scheme: Scheme, params: NetworkParams, seed: int,
         pseed = _probe_seed(seed, probe_index)
         probe_index += 1
         trials = trials_init
+        known: dict[int, int] = {}
         while True:
-            est = estimate_outage(scheme, params.replace(lam=lam), trials,
-                                  pseed, explicit=explicit, workers=workers)
+            est = _estimate(scheme, params.replace(lam=lam), trials, pseed,
+                            explicit, workers, known)
             if est.ci_low > eps:
                 return "above", est
             if est.ci_high < eps:

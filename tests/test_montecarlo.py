@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy.special import gammainc
 
+from sdma_capacity import montecarlo
 from sdma_capacity.analytic import density_for_scheme, exact_outage
+from sdma_capacity.channel import default_window_radius
 from sdma_capacity.montecarlo import (
     BATCH_SIZE,
     InconclusiveBisection,
@@ -99,6 +101,51 @@ class TestEstimateOutage:
     def test_invalid_trials(self):
         with pytest.raises(ValueError):
             estimate_outage(Scheme.SISO_BASELINE, BASE, 0, seed=1)
+
+    @pytest.mark.parametrize("scheme,params", [
+        (Scheme.DPC_MIMO_UB, BASE.replace(lam=3e-4, M=3, N=3, K=3)),
+        (Scheme.ZF_ANTSEL, BASE.replace(lam=1e-4, M=4, N=4, K=4, alpha=3.0)),
+        (Scheme.SISO_BASELINE, BASE.replace(lam=2e-5, eta=1e-5)),
+        (Scheme.SISO_BASELINE, BASE.replace(lam=0.0, eta=1e-3)),
+    ])
+    @pytest.mark.parametrize("block_points", [1, 1000, 1 << 15])
+    def test_blocked_batch_equals_one_pass(self, scheme, params, block_points,
+                                           monkeypatch):
+        # the batch generator draws and sums per trial in blocks; its
+        # interference and outage count must be those of one pass over the
+        # batch, whatever the block size
+        def one_pass(rng, n):
+            radius = default_window_radius(params)
+            counts = rng.poisson(params.lam * math.pi * radius**2, size=n)
+            r2 = radius**2 * rng.random(int(counts.sum()))
+            marks = rng.gamma(scheme.mark_shape(params), 1.0, size=r2.size)
+            contrib = marks * r2 ** (-params.alpha / 2.0)
+            y = np.bincount(np.repeat(np.arange(n), counts), weights=contrib,
+                            minlength=n)
+            if scheme.is_order_statistic:
+                h0 = rng.standard_exponential((n, params.N)).max(axis=1)
+            else:
+                h0 = rng.gamma(scheme.signal_dof(params), 1.0, size=n)
+            outage = h0 * params.D ** (-params.alpha) < params.beta * (y + params.eta_over_rho)
+            return int(np.count_nonzero(outage))
+
+        monkeypatch.setattr(montecarlo, "_BLOCK_POINTS", block_points)
+        for batch, n in ((0, 300), (1, 1)):
+            want = one_pass(montecarlo._batch_rng(21, batch), n)
+            got = montecarlo._surrogate_batch_outages(
+                scheme, params, n, montecarlo._batch_rng(21, batch))
+            assert got == want
+
+    def test_probe_doubling_reuses_batches_exactly(self):
+        # find_max_density doubles a probe's trials on one seed and runs only
+        # the new batches; each estimate equals a fresh call's
+        p = BASE.replace(lam=1e-4)
+        known = {}
+        for trials in (2 * BATCH_SIZE + 5, 4 * BATCH_SIZE + 10, 5 * BATCH_SIZE):
+            est = montecarlo._estimate(Scheme.SISO_BASELINE, p, trials, 9,
+                                       False, 1, known)
+            assert est == estimate_outage(Scheme.SISO_BASELINE, p, trials, seed=9)
+            assert sorted(known) == list(range(trials // BATCH_SIZE))
 
 
 class TestFindMaxDensity:
