@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from scipy.special import gammaincc
 
@@ -19,7 +20,6 @@ from .kernels import (
     f_coeff,
     interference_coeff,
     laplace_field,
-    noise_laplace,
     noise_laplace_bound,
     outage_series,
     sandwich_theta,
@@ -68,10 +68,6 @@ def noise_floor_outage(params: NetworkParams, d: int) -> float:
     return 1.0 - float(gammaincc(d, params.zeta * params.eta_over_rho))
 
 
-def _is_noise_limited(params: NetworkParams, d: int) -> bool:
-    return noise_floor_outage(params, d) > params.epsilon
-
-
 def success_upper_bound(params: NetworkParams, d: int,
                         mark_shape: int | None = None) -> float:
     """Large-deviation upper bound on the success probability.
@@ -105,23 +101,33 @@ def outage_bracket(params: NetworkParams, d: int,
     return lower, upper
 
 
+def _linearized_density(params: NetworkParams, scheme: Scheme, floor: float,
+                        density: Callable[[float], float]) -> DensityResult:
+    """Small-outage density from P_out = floor + lam * (first-order term).
+
+    ``floor`` is the outage at lam = 0 and ``density(epsilon - floor)``
+    solves the linearized outage for lam. A floor above epsilon is the
+    noise-limited regime: the density is clamped to 0 and flagged.
+    """
+    if floor > params.epsilon:
+        return _result(params, scheme, 0.0, "small-eps", noise_limited=True)
+    return _result(params, scheme, density(params.epsilon - floor), "small-eps")
+
+
 def small_eps_density(params: NetworkParams, scheme: Scheme, d: int,
                       mark_shape: int) -> DensityResult:
     """Generic small-outage density for a Gamma(d, 1) signal law.
 
-    lam = F_d * epsilon * e^{-eta beta D^alpha / rho}
-          / (I_mark * beta^{2/alpha} * D^2)
+    lam = (epsilon - P_out|lam=0) * F_d(a) / (I_mark * beta^{2/alpha} * D^2),
+    a = zeta eta / rho, P_out|lam=0 = P(Pois(a) >= d) (see kernels.f_coeff).
     """
-    if _is_noise_limited(params, d):
-        return _result(params, scheme, 0.0, "small-eps", noise_limited=True)
     delta = 2.0 / params.alpha
-    lam = (
-        f_coeff(d, params.alpha, params.eta_over_rho)
-        * params.epsilon
-        * noise_laplace(params.zeta, params.eta, params.rho)
-        / (interference_coeff(mark_shape, params.alpha) * params.beta**delta * params.D**2)
-    )
-    return _result(params, scheme, lam, "small-eps")
+    return _linearized_density(
+        params, scheme, noise_floor_outage(params, d),
+        lambda numer: (f_coeff(d, params.alpha, params.zeta * params.eta_over_rho)
+                       * numer
+                       / (interference_coeff(mark_shape, params.alpha)
+                          * params.beta**delta * params.D**2)))
 
 
 def density_dpc_mimo(params: NetworkParams, method: str = "small-eps") -> DensityResult:
@@ -193,8 +199,8 @@ def _gamma_density(params: NetworkParams, scheme: Scheme) -> DensityResult:
 def _gamma_bound_density(params: NetworkParams, scheme: Scheme) -> DensityResult:
     """Block diagonalization: the small-outage formula is an upper bound.
 
-    lam <= F_r * epsilon * e^{-eta beta D^alpha / rho}
-           / (I_K beta^{2/alpha} D^2),  r = NM - (K-1) N^2.
+    lam <= (epsilon - P_out|lam=0) * F_r(a) / (I_K beta^{2/alpha} D^2),
+    r = NM - (K-1) N^2.
     """
     return dataclasses.replace(_gamma_density(params, scheme), method="upper-bound")
 
@@ -217,24 +223,17 @@ def _exponential_density(params: NetworkParams, scheme: Scheme) -> DensityResult
 def _order_statistic_density(params: NetworkParams, scheme: Scheme) -> DensityResult:
     """ZF beamforming with receive antenna selection; small-outage density.
 
-    lam = epsilon * e^{-eta beta D^alpha / rho}
-          / (S_N^eff * I_M * beta^{2/alpha} * D^2)
-    with S_N^eff the noise-weighted order-statistic coefficient (reduces to
-    S_N at eta = 0).
+    lam = (epsilon - (1 - e^{-a})^N) / (S_N(a) * I_M * beta^{2/alpha} * D^2)
+    with a = zeta eta / rho, (1 - e^{-a})^N the outage at lam = 0 and S_N(a)
+    the noise-weighted order-statistic coefficient (S_N at eta = 0).
     """
-    floor = (-math.expm1(-params.zeta * params.eta_over_rho)) ** params.N
-    if floor > params.epsilon:
-        return _result(params, scheme, 0.0, "small-eps", noise_limited=True)
+    a = params.zeta * params.eta_over_rho
     delta = 2.0 / params.alpha
-    s_eff = weighted_alternating_coeff(params.N, params.alpha,
-                                       params.zeta * params.eta_over_rho)
-    lam = (
-        params.epsilon
-        * noise_laplace(params.zeta, params.eta, params.rho)
-        / (s_eff * interference_coeff(scheme.mark_shape(params), params.alpha)
-           * params.beta**delta * params.D**2)
-    )
-    return _result(params, scheme, lam, "small-eps")
+    return _linearized_density(
+        params, scheme, (-math.expm1(-a)) ** params.N,
+        lambda numer: numer / (weighted_alternating_coeff(params.N, params.alpha, a)
+                               * interference_coeff(scheme.mark_shape(params), params.alpha)
+                               * params.beta**delta * params.D**2))
 
 
 _DENSITY_ROUTES = {

@@ -122,39 +122,49 @@ def noise_laplace_bound(s: float, eta: float, rho: float) -> float:
     return math.exp(s * eta / rho)
 
 
-def f_coeff(d: int, alpha: float, eta_over_rho: float = 0.0) -> float:
-    """Small-outage density coefficient F_d.
+def f_coeff(d: int, alpha: float, a: float = 0.0) -> float:
+    """Small-outage density coefficient F_d(a) = 1 / c(a), a = zeta eta / rho.
 
-    F_d = [ sum_{k=0}^{d-1} sum_{j=0}^{k} C(k,j) (eta/rho)^{k-j} (1/j!)
-            prod_{m=0}^{j-1} (m - 2/alpha) ]^{-1}
+    The outage of a Gamma(d, 1) signal against shot noise plus noise is
+    P(Z >= d), Z a Poisson(a) count plus a Poisson(A) sum of Sibuya(delta)
+    jumps J, with A = lam I_m zeta^delta and delta = 2/alpha. Its first-order
+    coefficient in A is
 
-    For eta = 0 this reduces to Gamma(1-2/alpha) Gamma(d) / Gamma(d-2/alpha)
-    and grows like d^(2/alpha).
+        c(a) = P(Pois(a) < d <= Pois(a) + J)
+             = e^{-a} sum_{i<d} a^i/i! P(J >= d - i),
+        P(J >= n) = prod_{m=1}^{n-1} (m - delta)/m,
+
+    positive for every a, so P_out = P(Pois(a) >= d) + A c(a) + O(A^2).
+    At a = 0 it is Gamma(1-2/alpha) Gamma(d) / Gamma(d-2/alpha) and grows
+    like d^(2/alpha). O(d); the Poisson weights are taken in log space, and
+    a = 0 keeps the telescoped sum of c_j = (1/j!) prod_{m<j} (m - delta).
+    Raises OverflowError where F_d leaves the float range (a >> d).
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if alpha <= 2:
         raise ValueError(f"alpha must be > 2, got {alpha}")
-    if eta_over_rho < 0:
-        raise ValueError(f"eta_over_rho must be >= 0, got {eta_over_rho}")
+    if a < 0:
+        raise ValueError(f"a must be >= 0, got {a}")
     delta = 2.0 / alpha
-    # c_j = (1/j!) prod_{m<j} (m - delta); c_0 = 1, recurrence is stable
-    # (|c_j| decays like j^-(1+delta))
-    c = [1.0]
-    for j in range(1, d):
-        c.append(c[-1] * (j - 1 - delta) / j)
-    if eta_over_rho == 0.0:
+    if a == 0.0:
+        # c_0 = 1, recurrence is stable (|c_j| decays like j^-(1+delta))
+        c = [1.0]
+        for j in range(1, d):
+            c.append(c[-1] * (j - 1 - delta) / j)
         total = math.fsum(c)
-    else:
-        t = eta_over_rho
-        terms = []
-        for k in range(d):
-            for j in range(k + 1):
-                terms.append(math.comb(k, j) * t ** (k - j) * c[j])
-        total = math.fsum(terms)
-    if total <= 0:
-        raise ArithmeticError(f"F-coefficient sum non-positive at d={d}, alpha={alpha}")
-    return 1.0 / total
+        if total <= 0:
+            raise ArithmeticError(f"F-coefficient sum non-positive at d={d}, alpha={alpha}")
+        return 1.0 / total
+    # tail[n - 1] = P(J >= n), n = 1..d; every factor lies in (0, 1)
+    tail = [1.0]
+    for m in range(1, d):
+        tail.append(tail[-1] * (m - delta) / m)
+    log_a = math.log(a)
+    log_w = [i * log_a - math.lgamma(i + 1) for i in range(d)]
+    top = max(log_w)
+    total = math.fsum(math.exp(w - top) * tail[d - 1 - i] for i, w in enumerate(log_w))
+    return math.exp(a - top - math.log(total))
 
 
 def chi2_cdf_and_bounds(d: int, x: float) -> tuple[float, float, float]:
@@ -257,18 +267,18 @@ def outage_series(
             for k in range(d + 1)
         ]
         return min(1.0, max(0.0, math.fsum(terms)))
-    coeff = interference_coeff(mark_shape, alpha)
     delta = 2.0 / alpha
     with mpmath.workdps(40 + d // 2):
+        # every per-k factor is formed in mpf: a float rounding of k*vartheta*zeta
+        # or of its noise product is amplified by the ~C(d, d/2) cancellation
+        step = mpmath.mpf(vartheta) * zeta
+        noise = mpmath.mpf(eta_over_rho)
+        scale = mpmath.mpf(lam) * interference_coeff(mark_shape, alpha)
         total = mpmath.mpf(0)
         for k in range(d + 1):
-            arg = k * vartheta * zeta
-            term = (
-                mpmath.binomial(d, k)
-                * (-1) ** k
-                * mpmath.e ** (-arg * eta_over_rho - lam * mpmath.mpf(arg) ** delta * coeff)
-            )
-            total += term
+            arg = k * step
+            total += (mpmath.binomial(d, k) * (-1) ** k
+                      * mpmath.exp(-arg * noise - scale * arg**delta))
         return min(1.0, max(0.0, float(total)))
 
 

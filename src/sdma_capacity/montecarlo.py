@@ -14,7 +14,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from . import analytic
 from .channel import default_window_radius, sinr_sample
@@ -336,6 +335,8 @@ def validate_distribution(sampler, reference_cdf, samples: int,
     ``sampler(rng, size)`` must return a 1-D array. The critical value is
     the asymptotic K-S quantile at ``level`` scaled by 1/sqrt(n).
     """
+    from scipy import stats  # ~0.3 s of import time, needed only here
+
     if samples < 1000:
         raise ValueError("need at least 1000 samples for a meaningful KS test")
     rng = _batch_rng(seed, 0)

@@ -26,6 +26,7 @@ from sdma_capacity.kernels import (
 )
 from sdma_capacity.montecarlo import fit_ase_slope
 from sdma_capacity.network import NetworkParams, Scheme
+from oracles import levy_outage, poisson_tail, sibuya_outage_root
 
 # reference operating point: D = 10 m, eps = 0.1, alpha = 4, beta = 3, eta = 0
 BASE = NetworkParams()
@@ -111,6 +112,40 @@ class TestOutageBracket:
         se = math.sqrt(p_hat * (1 - p_hat) / trials)
         assert lower - 3 * se <= p_hat <= upper + 3 * se
         assert lower < upper
+
+
+class TestNoisySmallEps:
+    @pytest.mark.parametrize("a", [0.003, 0.03, 0.3, 3.0])
+    @pytest.mark.parametrize("d", [1, 4, 16, 64, 256])
+    @pytest.mark.parametrize("alpha", [3.0, 4.0])
+    def test_converges_to_exact_root(self, alpha, d, a):
+        # zeta = beta D^alpha = 3, so a = zeta eta / rho = 3 eta
+        p = NetworkParams(alpha=alpha, beta=3.0, D=1.0, epsilon=0.01, eta=a / 3)
+        a = p.zeta * p.eta_over_rho
+        res = small_eps_density(p, Scheme.DPC_MISO, d, 1)
+        assert res.noise_limited == (poisson_tail(d, a) > p.epsilon)
+        if res.noise_limited:
+            assert res.lambda_eps == 0.0
+            return
+        # root of the exact Poisson-Sibuya outage, in A = lam I_1 zeta^delta
+        delta = 2 / alpha
+        root = (sibuya_outage_root(d, a, delta, p.epsilon)
+                / (interference_coeff(1, alpha) * p.zeta**delta))
+        # at alpha = 4 (Levy shot noise) the second-order term nearly
+        # vanishes; at alpha = 3 it is O(epsilon): 0.88-1.03% measured
+        tolerance = 0.01 if alpha == 4.0 else 0.02
+        assert res.lambda_eps == pytest.approx(root, rel=tolerance)
+
+    @pytest.mark.parametrize("alpha", [3.0, 4.0])
+    def test_noisy_sweep_rows_at_large_d_carry_values(self, alpha):
+        # the 20 dB sweep point at D = 1 (a = 0.03); d = 64 and 256 used to
+        # end in "F-coefficient sum non-positive" error rows
+        p = BASE.replace(alpha=alpha, D=1.0, eta=0.01)
+        for scheme in (Scheme.DPC_MIMO_UB, Scheme.BD_UB):
+            for antennas in (8, 16):
+                m, n, k = scheme.default_config(antennas)
+                res = density_for_scheme(p.replace(M=m, N=n, K=k), scheme)
+                assert math.isfinite(res.lambda_eps) and res.lambda_eps > 0
 
 
 class TestDpcMimo:
@@ -229,6 +264,18 @@ class TestAntsel:
                  / density_for_scheme(p1, Scheme.ZF_ANTSEL).lambda_eps)
         assert ratio == pytest.approx(1.0 / (2 - math.sqrt(2)), rel=1e-12)
 
+    @pytest.mark.parametrize("eta", [1e-6, 1e-5])
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_noisy_small_eps_converges_to_root(self, n, eta):
+        p = BASE.replace(M=n, N=n, K=n, eta=eta, epsilon=0.01)
+        lin = density_for_scheme(p, Scheme.ZF_ANTSEL)
+        root = exact_density_root(Scheme.ZF_ANTSEL, p)
+        assert lin.noise_limited == root.noise_limited
+        if root.noise_limited:
+            assert lin.lambda_eps == root.lambda_eps == 0.0
+        else:
+            assert lin.lambda_eps == pytest.approx(root.lambda_eps, rel=0.01)
+
     def test_noise_weighting_reduces_density(self):
         p = BASE.replace(M=2, N=2, K=2)
         clean = density_for_scheme(p, Scheme.ZF_ANTSEL).lambda_eps
@@ -343,6 +390,15 @@ class TestExactOutageAndRoot:
         lin = (p.lam * weighted_alternating_coeff(2, 4, 0.0)
                * interference_coeff(2, 4) * p.zeta ** 0.5)
         assert got == pytest.approx(lin, rel=0.02)
+
+    def test_exact_outage_antsel_large_n_matches_levy_integral(self):
+        # N = 64 routes through the high-precision series; at alpha = 4 the
+        # outage is also an integral over the Levy shot-noise law
+        p = BASE.replace(M=64, N=64, K=64, eta=1e-5, lam=1e-4)
+        ref = levy_outage(64, 1.0, p.zeta, p.lam, interference_coeff(64, 4.0),
+                          p.eta_over_rho)
+        assert ref == pytest.approx(0.209394, abs=1e-6)
+        assert exact_outage(Scheme.ZF_ANTSEL, p) == pytest.approx(ref, rel=1e-9)
 
     def test_exact_outage_unsupported(self):
         with pytest.raises(ValueError):

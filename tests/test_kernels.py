@@ -1,7 +1,9 @@
 """Kernel tests: each closed-form value is checked against an independent
-oracle (quadrature, gamma identities, or shot-noise Monte Carlo)."""
+oracle (quadrature, gamma identities, the exact routes of ``oracles.py``, or
+shot-noise Monte Carlo)."""
 
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -22,6 +24,7 @@ from sdma_capacity.kernels import (
     sandwich_theta,
     weighted_alternating_coeff,
 )
+from oracles import laplace_success, levy_outage, sibuya_first_order, sibuya_success
 
 RNG = np.random.default_rng(20240817)
 
@@ -166,8 +169,7 @@ class TestNoiseLaplace:
 class TestFCoeff:
     def test_d1(self):
         for alpha in (2.5, 3, 4, 6):
-            for t in (0.0, 1e-5, 0.3):
-                assert f_coeff(1, alpha, t) == pytest.approx(1.0, rel=1e-14)
+            assert f_coeff(1, alpha, 0.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_d2_alpha4(self):
         assert f_coeff(2, 4, 0.0) == pytest.approx(2.0, rel=1e-12)
@@ -192,21 +194,36 @@ class TestFCoeff:
             slope = np.polyfit(np.log(ds), logs, 1)[0]
             assert slope == pytest.approx(2 / alpha, abs=0.02)
 
-    def test_noisy_case_against_high_precision_sum(self):
-        # independent evaluation of the same double sum at 50 digits
-        d, alpha, t = 6, 4.0, 0.02
-        with mpmath.workdps(50):
-            dd = mpmath.mpf(2) / alpha
-            total = mpmath.mpf(0)
-            for k in range(d):
-                for j in range(k + 1):
-                    prod = mpmath.mpf(1)
-                    for m_ in range(j):
-                        prod *= m_ - dd
-                    total += (mpmath.binomial(k, j) * mpmath.mpf(t) ** (k - j)
-                              * prod / mpmath.factorial(j))
-            ref = float(1 / total)
-        assert f_coeff(d, alpha, t) == pytest.approx(ref, rel=1e-12)
+    @pytest.mark.parametrize("alpha", [3.0, 4.0])
+    @pytest.mark.parametrize("d", [1, 4, 16, 64, 1024])
+    @pytest.mark.parametrize("a", [0.0, 0.03, 0.3, 3.0])
+    def test_is_first_order_term_of_exact_outage(self, d, a, alpha):
+        # 1/F_d(a) = -dP_s/dA at A = 0, P_s the exact Gamma(d)-signal success
+        # probability from the compound Poisson-Sibuya recursion
+        ref = sibuya_first_order(d, a, 2 / alpha)
+        assert 1.0 / f_coeff(d, alpha, a) == pytest.approx(ref, rel=1e-9)
+
+    def test_oracle_recursion_matches_laplace_derivatives(self):
+        # the recursion behind the oracle above, against the derivative sum
+        # of the Laplace transform exp(-a t - A t^delta) at t = 1
+        for d in (1, 2, 4, 8):
+            for a in (0.0, 0.3, 3.0):
+                for A in (0.01, 0.5):
+                    for delta in (0.5, 2 / 3):
+                        assert float(sibuya_success(d, a, A, delta)) == pytest.approx(
+                            laplace_success(d, a, A, delta), rel=1e-12)
+
+    @pytest.mark.parametrize("a", [0.0, 0.03, 3.0, 1000.0])
+    def test_large_d_finite_positive_and_fast(self, a):
+        # O(d): best of three calls at d = 4096, so a busy machine does not
+        # decide the verdict
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            value = f_coeff(4096, 4.0, a)
+            times.append(time.perf_counter() - start)
+        assert math.isfinite(value) and value > 0
+        assert min(times) <= 0.010
 
 
 class TestChi2Bounds:
@@ -303,6 +320,18 @@ class TestOutageSeries:
         se = vals.std(ddof=1) / math.sqrt(trials)
         got = outage_series(d, theta, zeta, lam, alpha, m, eta_over_rho)
         assert abs(got - vals.mean()) < 3 * se
+
+    @pytest.mark.parametrize("eta_over_rho", [0.0, 1e-5])
+    @pytest.mark.parametrize("tight", [False, True])
+    @pytest.mark.parametrize("d", [49, 64, 100])
+    def test_large_d_matches_levy_integral(self, d, tight, eta_over_rho):
+        # above d = 40 the series runs in mpmath; at alpha = 4 the shot noise
+        # is Levy, so the outage is also a one-dimensional integral
+        lam, alpha, m, zeta = 1e-3, 4.0, 4, 3e4
+        theta = sandwich_theta(d) if tight else 1.0
+        ref = levy_outage(d, theta, zeta, lam, interference_coeff(m, alpha), eta_over_rho)
+        got = outage_series(d, theta, zeta, lam, alpha, m, eta_over_rho)
+        assert got == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
     def test_high_precision_path_continuity(self):
         # d = 41 routes through mpmath; compare against d <= 40 behavior by
