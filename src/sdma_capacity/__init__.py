@@ -22,7 +22,6 @@ from .kernels import (
     f_coeff,
     interference_coeff,
     laplace_field,
-    noise_laplace,
 )
 from .montecarlo import (
     InconclusiveBisection,
@@ -56,7 +55,6 @@ __all__ = [
     "find_max_density",
     "interference_coeff",
     "laplace_field",
-    "noise_laplace",
     "run_sweep",
     "scaling_exponent",
     "validate_distribution",

@@ -117,7 +117,8 @@ def cmd_simulate(cfg: ExperimentConfig, find_density: bool) -> int:
         if find_density:
             result = find_max_density(scheme, params, seed=cfg.seed,
                                       tolerance=cfg.tolerance)
-            rows.append(reporting.density_row(params, result, seed=cfg.seed))
+            rows.append(reporting.density_row(params, result, trials=result.extras["trials"],
+                                              seed=cfg.seed))
         else:
             est = estimate_outage(scheme, params, cfg.trials, cfg.seed)
             rows.append(reporting.outage_row(est))
@@ -186,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "validate":
             return cmd_validate(cfg)
     except InconclusiveBisection as exc:
-        print(f"inconclusive Monte Carlo: {exc} (bracket {exc.bracket})",
+        print(f"inconclusive Monte Carlo: {exc} (interval {exc.bracket})",
               file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except ConfigError as exc:

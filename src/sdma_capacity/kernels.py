@@ -99,21 +99,12 @@ def laplace_field(s: float, lam: float, alpha: float, M: int) -> float:
     return math.exp(-lam * s ** (2.0 / alpha) * interference_coeff(M, alpha))
 
 
-def noise_laplace(s: float, eta: float, rho: float) -> float:
-    """Noise attenuation factor e^{-s*eta/rho} of the exact success path."""
-    if rho <= 0:
-        raise ValueError(f"rho must be > 0, got {rho}")
-    if s < 0 or eta < 0:
-        raise ValueError("s and eta must be >= 0")
-    return math.exp(-s * eta / rho)
-
-
 def noise_laplace_bound(s: float, eta: float, rho: float) -> float:
     """Noise factor e^{+s*eta/rho} used on the large-deviation bound path.
 
     The bound path carries the noise term with a positive exponent (the
-    bound gets looser, never invalid); the exact success-probability path
-    always uses :func:`noise_laplace`.
+    bound gets looser, never invalid); the exact success probability has
+    the factor e^{-s*eta/rho}.
     """
     if rho <= 0:
         raise ValueError(f"rho must be > 0, got {rho}")

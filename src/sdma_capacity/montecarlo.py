@@ -1,9 +1,11 @@
-"""Monte Carlo outage estimation, stochastic density search, sweeps.
+"""Monte Carlo outage estimation, quantile density estimation, sweeps.
 
 Reproducibility model: trials are grouped into fixed-size batches and each
 batch gets its own counter-based Philox stream keyed by (seed, batch index).
-The per-batch success counts are exact integers, so the estimate is
-bit-identical regardless of how batches are scheduled across workers.
+Outage estimates aggregate per-batch integer counts, and density estimates
+take order statistics of per-batch arrays that are always drawn whole, so
+both are bit-identical regardless of how batches are scheduled across
+workers.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import bdtr, bdtrik
 
 from . import analytic
 from .channel import default_window_radius, sinr_sample
@@ -21,11 +24,12 @@ from .network import NetworkParams, Scheme
 
 BATCH_SIZE = 4096
 _BLOCK_POINTS = 1 << 15  # interferer points per in-cache block of a batch
+NEAREST = 64  # interferers drawn per density-search trial; the rest enter as their mean
 WORKER_ENV_VAR = "SDMA_WORKERS"
 
 
 class InconclusiveBisection(RuntimeError):
-    """Raised when the trial budget cannot separate outage from epsilon."""
+    """Raised when the trial budget cannot narrow lambda_eps to the tolerance."""
 
     def __init__(self, message: str, bracket: tuple[float, float]):
         super().__init__(message)
@@ -92,6 +96,14 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _signal_gains(scheme: Scheme, params: NetworkParams, n: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Desired-link gains h0 of ``n`` trials, from the scheme's signal law."""
+    if scheme.is_order_statistic:
+        return rng.standard_exponential((n, params.N)).max(axis=1)
+    return rng.gamma(scheme.signal_dof(params), 1.0, size=n)
+
+
 def _surrogate_batch_outages(scheme: Scheme, params: NetworkParams, n: int,
                              rng: np.random.Generator) -> int:
     """Vectorized law-based trials; returns the batch outage count.
@@ -119,10 +131,7 @@ def _surrogate_batch_outages(scheme: Scheme, params: NetworkParams, n: int,
             idx = np.repeat(np.arange(t1 - t0), counts[t0:t1])
             y[t0:t1] = np.bincount(idx, weights=contrib, minlength=t1 - t0)
             t0, p0 = t1, p1
-    if scheme.is_order_statistic:
-        h0 = rng.standard_exponential((n, params.N)).max(axis=1)
-    else:
-        h0 = rng.gamma(scheme.signal_dof(params), 1.0, size=n)
+    h0 = _signal_gains(scheme, params, n, rng)
     sinr_num = h0 * params.D ** (-params.alpha)
     outage = sinr_num < params.beta * (y + params.eta_over_rho)
     return int(np.count_nonzero(outage))
@@ -146,6 +155,15 @@ def _worker_count(workers: int | None) -> int:
     return max(1, int(os.environ.get(WORKER_ENV_VAR, "1")))
 
 
+def _map_batches(fn, jobs: list, workers: int | None) -> list:
+    """``[fn(job) for job in jobs]``, over a process pool when workers > 1."""
+    nw = _worker_count(workers)
+    if nw > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=nw) as pool:
+            return list(pool.map(fn, jobs, chunksize=max(1, len(jobs) // (4 * nw))))
+    return [fn(job) for job in jobs]
+
+
 def estimate_outage(scheme: Scheme, params: NetworkParams, trials: int,
                     seed: int, explicit: bool = False,
                     workers: int | None = None) -> OutageEstimate:
@@ -155,118 +173,135 @@ def estimate_outage(scheme: Scheme, params: NetworkParams, trials: int,
     worker count: batches are keyed by (seed, batch index) and only integer
     counts are aggregated.
     """
-    return _estimate(scheme, params, trials, seed, explicit, workers, {})
-
-
-def _estimate(scheme: Scheme, params: NetworkParams, trials: int, seed: int,
-              explicit: bool, workers: int | None, known: dict[int, int]
-              ) -> OutageEstimate:
-    """``estimate_outage`` that reuses and extends ``known``: full-batch
-    outage counts by batch index, from earlier calls on the same (scheme,
-    params, seed, explicit), as when a density probe doubles its trials.
-    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     scheme.check_feasible(params)
     n_full, rem = divmod(trials, BATCH_SIZE)
-    jobs = [(scheme, params, seed, i, BATCH_SIZE, explicit)
-            for i in range(n_full) if i not in known]
+    jobs = [(scheme, params, seed, i, BATCH_SIZE, explicit) for i in range(n_full)]
     if rem:
         jobs.append((scheme, params, seed, n_full, rem, explicit))
-    nw = _worker_count(workers)
-    if nw > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=nw) as pool:
-            counts = list(pool.map(_count_batch, jobs, chunksize=max(1, len(jobs) // (4 * nw))))
-    else:
-        counts = [_count_batch(j) for j in jobs]
-    known.update((job[3], c) for job, c in zip(jobs, counts) if job[4] == BATCH_SIZE)
-    outages = sum(known[i] for i in range(n_full)) + (counts[-1] if rem else 0)
+    outages = sum(_map_batches(_count_batch, jobs, workers))
     lo, hi = wilson_interval(outages, trials)
     return OutageEstimate(p_hat=outages / trials, ci_low=lo, ci_high=hi,
                           trials=trials, seed=seed, scheme=scheme, params=params)
 
 
-def _probe_seed(seed: int, probe_index: int) -> int:
-    return int(np.random.SeedSequence([seed, probe_index]).generate_state(1, np.uint64)[0])
+def _critical_batch(args) -> np.ndarray:
+    """Critical densities of the BATCH_SIZE trials of one batch.
+
+    Interferers sit at pi r_k^2 = Gamma_k / lam, with Gamma_k the arrival
+    times of a unit-rate Poisson process (LePage-Woodroofe-Zinn), so the
+    interference at density lam is lam^(alpha/2) S with S the unit-density
+    shot noise. S sums the nearest ``NEAREST`` points with their Gamma marks
+    and the mean of the rest, 2 pi m (Gamma_K / pi)^(1 - alpha/2) / (alpha - 2).
+    A trial is in outage at lam exactly when lam > lam*, with
+    lam* = ((h0 D^-alpha / beta - eta/rho)_+ / S)^(2/alpha).
+    """
+    scheme, params, seed, batch_index = args
+    rng = _batch_rng(seed, batch_index)
+    alpha, m = params.alpha, scheme.mark_shape(params)
+    r2 = rng.standard_exponential((BATCH_SIZE, NEAREST)).cumsum(axis=1)
+    r2 /= math.pi  # squared radii at unit density
+    tail = r2[:, -1] ** (1.0 - alpha / 2.0)
+    tail *= 2.0 * math.pi * m / (alpha - 2.0)
+    contrib = np.power(r2, -alpha / 2.0, out=r2)
+    contrib *= rng.gamma(m, 1.0, size=contrib.shape)
+    shot = contrib.sum(axis=1)
+    shot += tail
+    margin = _signal_gains(scheme, params, BATCH_SIZE, rng)
+    margin *= params.D ** (-alpha) / params.beta
+    margin -= params.eta_over_rho
+    np.maximum(margin, 0.0, out=margin)
+    margin /= shot
+    return np.power(margin, 2.0 / alpha, out=margin)
+
+
+def _critical_densities(scheme: Scheme, params: NetworkParams, seed: int,
+                        trials: int, workers: int | None = None,
+                        drawn: list | tuple = ()) -> list[np.ndarray]:
+    """Batches 0..ceil(trials / BATCH_SIZE) - 1 of critical densities.
+
+    Every batch is drawn whole, so its values depend only on (seed, batch
+    index): ``drawn`` (batches 0..len(drawn) - 1 of an earlier call) is
+    reused, and the first n values of a larger call equal an n-trial call's.
+    """
+    jobs = [(scheme, params, seed, i)
+            for i in range(len(drawn), -(-trials // BATCH_SIZE))]
+    return [*drawn, *_map_batches(_critical_batch, jobs, workers)]
+
+
+def _binomial_quantile(q: float, n: int, p: float) -> int:
+    """Smallest k with P(Binomial(n, p) <= k) >= q."""
+    k = min(n, max(0, int(bdtrik(q, n, p))))
+    while k > 0 and bdtr(k - 1, n, p) >= q:
+        k -= 1
+    while k < n and bdtr(k, n, p) < q:
+        k += 1
+    return k
+
+
+def _quantile_interval(lam_star: np.ndarray, eps: float) -> tuple[float, float, float]:
+    """lambda_eps, the ceil(n eps)-th order statistic of ``lam_star``, and the
+    ends of its distribution-free 95% interval.
+
+    With X_(r) the r-th smallest value, P(X_(r) <= q_eps <= X_(s)) is
+    P(r <= Binomial(n, eps) < s); r and s - 1 are the binomial 2.5% and
+    97.5% quantiles. X_(0) reads 0 and X_(n+1) infinity.
+    """
+    n = lam_star.size
+    k = min(n, max(1, math.ceil(n * eps)))
+    r = _binomial_quantile(0.025, n, eps)
+    s = _binomial_quantile(0.975, n, eps) + 1
+    part = np.partition(lam_star, [i - 1 for i in (r, k, s) if 1 <= i <= n])
+    lower = float(part[r - 1]) if r >= 1 else 0.0
+    upper = float(part[s - 1]) if s <= n else math.inf
+    return float(part[k - 1]), lower, upper
 
 
 def find_max_density(scheme: Scheme, params: NetworkParams, seed: int,
-                     tolerance: float = 0.02, explicit: bool = False,
-                     trials_init: int = 10_000, trials_cap: int = 4_000_000,
+                     tolerance: float = 0.02, trials_init: int = 10_000,
+                     trials_cap: int = 4_000_000,
                      workers: int | None = None) -> analytic.DensityResult:
-    """Stochastic bisection for the maximum contention density.
+    """Maximum contention density as the epsilon-quantile of the per-trial
+    critical density (Weber, Yang, Andrews & de Veciana, IEEE T-IT 2005).
 
-    A candidate density is classified against epsilon only once its Wilson
-    interval excludes epsilon, doubling the trial count up to ``trials_cap``;
-    bisection stops when bracket width / midpoint <= ``tolerance``. Raises
-    InconclusiveBisection when a decisive probe exhausts the budget.
+    The trial count doubles from ``trials_init`` up to ``trials_cap`` until
+    the 95% order-statistic interval has width / midpoint <= ``tolerance``;
+    the doubled estimate reuses the batches already drawn. An interval whose
+    upper end is 0 is noise-limited (outage exceeds epsilon at lam -> 0).
+    Raises InconclusiveBisection, with the last interval, when the cap is
+    reached first. Bit-identical for any worker count.
     """
     scheme.check_feasible(params)
     eps = params.epsilon
-    probe_index = 0
-
-    def classify(lam: float):
-        nonlocal probe_index
-        pseed = _probe_seed(seed, probe_index)
-        probe_index += 1
-        trials = trials_init
-        known: dict[int, int] = {}
-        while True:
-            est = _estimate(scheme, params.replace(lam=lam), trials, pseed,
-                            explicit, workers, known)
-            if est.ci_low > eps:
-                return "above", est
-            if est.ci_high < eps:
-                return "below", est
-            if trials >= trials_cap:
-                return "inconclusive", est
-            trials = min(trials * 2, trials_cap)
-
-    # noise-limited floor: outage at lam -> 0 already above epsilon
-    cls0, est0 = classify(0.0)
-    if cls0 == "above":
-        return analytic.DensityResult(
-            lambda_eps=0.0, ase=0.0, method="mc-root", scheme=scheme,
-            noise_limited=True, extras={"seed": seed})
-    if cls0 == "inconclusive":
-        raise InconclusiveBisection(
-            f"outage at lam=0 is indistinguishable from epsilon={eps} "
-            f"within {trials_cap} trials", (0.0, 0.0))
-
-    guess = analytic.density_for_scheme(params, scheme).lambda_eps
-    lo, hi = 0.0, guess if guess > 0 else 1e-6
-    for _ in range(80):
-        cls, _ = classify(hi)
-        if cls == "above":
-            break
-        lo, hi = hi, hi * 2.0
-    else:
-        raise ArithmeticError("bracket expansion failed: outage stays below epsilon")
-
-    while (hi - lo) > tolerance * 0.5 * (hi + lo):
-        mid = 0.5 * (lo + hi)
-        cls, _ = classify(mid)
-        if cls == "below":
-            lo = mid
-        elif cls == "above":
-            hi = mid
-        else:
+    trials = trials_init
+    batches: list[np.ndarray] = []
+    while True:
+        batches = _critical_densities(scheme, params, seed, trials, workers, batches)
+        lam, lower, upper = _quantile_interval(np.concatenate(batches)[:trials], eps)
+        extras = {"seed": seed, "trials": trials}
+        if upper == 0.0:
+            return analytic.DensityResult(
+                lambda_eps=0.0, ase=0.0, method="mc-root", scheme=scheme,
+                noise_limited=True, lambda_lower=0.0, lambda_upper=0.0,
+                extras=extras)
+        if math.isfinite(upper) and upper - lower <= tolerance * 0.5 * (upper + lower):
+            return analytic.DensityResult(
+                lambda_eps=lam,
+                ase=analytic.area_spectral_efficiency(params, lam),
+                method="mc-root", scheme=scheme,
+                lambda_lower=lower, lambda_upper=upper, extras=extras)
+        if trials >= trials_cap:
             raise InconclusiveBisection(
-                f"trial budget {trials_cap} cannot separate outage from "
-                f"epsilon={eps} at lam={mid:.6g}", (lo, hi))
-    root = 0.5 * (lo + hi)
-    return analytic.DensityResult(
-        lambda_eps=root,
-        ase=analytic.area_spectral_efficiency(params, root),
-        method="mc-root", scheme=scheme,
-        lambda_lower=lo, lambda_upper=hi,
-        extras={"seed": seed, "probes": probe_index})
+                f"{trials} trials leave the 95% interval of lambda_eps at "
+                f"[{lower:.6g}, {upper:.6g}], wider than tolerance {tolerance}",
+                (lower, upper))
+        trials = min(trials * 2, trials_cap)
 
 
 def run_sweep(schemes: list[Scheme], antenna_grid: list[tuple[int, int, int]],
               params: NetworkParams, mode: str = "analytic", seed: int = 0,
-              tolerance: float = 0.02, explicit: bool = False,
-              workers: int | None = None,
+              tolerance: float = 0.02, workers: int | None = None,
               analytic_method: str = "small-eps") -> SweepTable:
     """Density/ASE over an antenna grid with per-scheme log-log slope fits.
 
@@ -297,10 +332,11 @@ def run_sweep(schemes: list[Scheme], antenna_grid: list[tuple[int, int, int]],
             if mode in ("mc", "both"):
                 try:
                     res = find_max_density(scheme, p, seed=seed, tolerance=tolerance,
-                                           explicit=explicit, workers=workers)
+                                           workers=workers)
                     rows.append(SweepRow(scheme, m, n, k, res.lambda_eps, res.ase,
                                          res.method, ci_low=res.lambda_lower,
-                                         ci_high=res.lambda_upper, seed=seed))
+                                         ci_high=res.lambda_upper,
+                                         trials=res.extras["trials"], seed=seed))
                 except Exception as exc:  # noqa: BLE001
                     rows.append(SweepRow(scheme, m, n, k, None, None, "mc-root",
                                          error=str(exc)))

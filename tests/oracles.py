@@ -18,6 +18,9 @@ IEEE T-WC 2008; Sibuya, Ann. Inst. Stat. Math. 1979). Three routes:
   P(Y <= y) = erfc(c / (2 sqrt y)) with c = lam I_m, so for a signal CDF
   (1 - e^{-vartheta x})^d the outage E[(1 - e^{-vartheta zeta (Y + eta/rho)})^d]
   is a one-dimensional integral with a Gaussian weight.
+
+``noise_laplace`` is the noise factor e^{-s eta/rho} of the success
+probability at Laplace argument s.
 """
 
 from __future__ import annotations
@@ -110,3 +113,12 @@ def levy_outage(d: int, vartheta: float, zeta: float, lam: float, mark_coeff: fl
         # the signal factor turns over where rate * c2_over_4 / t^2 ~ log(d + 1)
         knee = mpmath.sqrt(rate * c2_over_4 / math.log(d + 1))
         return float(mpmath.quad(integrand, [0, knee / 4, knee, 4 * knee, mpmath.inf]))
+
+
+def noise_laplace(s: float, eta: float, rho: float) -> float:
+    """Noise attenuation factor e^{-s*eta/rho} of the exact success path."""
+    if rho <= 0:
+        raise ValueError(f"rho must be > 0, got {rho}")
+    if s < 0 or eta < 0:
+        raise ValueError("s and eta must be >= 0")
+    return math.exp(-s * eta / rho)

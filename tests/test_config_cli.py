@@ -10,7 +10,7 @@ import pytest
 from sdma_capacity import cli, reporting
 from sdma_capacity.analytic import density_for_scheme
 from sdma_capacity.config import ConfigError, ExperimentConfig
-from sdma_capacity.montecarlo import InconclusiveBisection
+from sdma_capacity.montecarlo import InconclusiveBisection, find_max_density
 from sdma_capacity.network import NetworkParams, Scheme
 
 
@@ -152,6 +152,9 @@ class TestCliSimulate:
                                     Scheme.ZF_MISO).lambda_eps
         assert float(row["lambda_eps"]) == pytest.approx(closed, rel=0.10)
         assert row["method"] == "mc-root"
+        res = find_max_density(Scheme.ZF_MISO, NetworkParams(M=2, N=1, K=2),
+                               seed=5, tolerance=0.05)
+        assert (row["trials"], row["seed"]) == (str(res.extras["trials"]), "5")
 
     def test_infeasible_scheme_is_numerical_error(self, tmp_path):
         rc = cli.main(["simulate", "--scheme", "zf-multi", "--m", "2",

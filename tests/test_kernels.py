@@ -18,13 +18,18 @@ from sdma_capacity.kernels import (
     f_coeff,
     interference_coeff,
     laplace_field,
-    noise_laplace,
     noise_laplace_bound,
     outage_series,
     sandwich_theta,
     weighted_alternating_coeff,
 )
-from oracles import laplace_success, levy_outage, sibuya_first_order, sibuya_success
+from oracles import (
+    laplace_success,
+    levy_outage,
+    noise_laplace,
+    sibuya_first_order,
+    sibuya_success,
+)
 
 RNG = np.random.default_rng(20240817)
 

@@ -1,14 +1,17 @@
-"""Monte Carlo engine tests: determinism, calibration, bisection, sweeps."""
+"""Monte Carlo engine tests: determinism, calibration, density quantiles, sweeps."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammainc
 
 from sdma_capacity import montecarlo
 from sdma_capacity.analytic import density_for_scheme, exact_outage
 from sdma_capacity.channel import default_window_radius
+from sdma_capacity.kernels import interference_coeff
 from sdma_capacity.montecarlo import (
     BATCH_SIZE,
     InconclusiveBisection,
@@ -136,16 +139,98 @@ class TestEstimateOutage:
                 scheme, params, n, montecarlo._batch_rng(21, batch))
             assert got == want
 
-    def test_probe_doubling_reuses_batches_exactly(self):
-        # find_max_density doubles a probe's trials on one seed and runs only
-        # the new batches; each estimate equals a fresh call's
-        p = BASE.replace(lam=1e-4)
-        known = {}
-        for trials in (2 * BATCH_SIZE + 5, 4 * BATCH_SIZE + 10, 5 * BATCH_SIZE):
-            est = montecarlo._estimate(Scheme.SISO_BASELINE, p, trials, 9,
-                                       False, 1, known)
-            assert est == estimate_outage(Scheme.SISO_BASELINE, p, trials, seed=9)
-            assert sorted(known) == list(range(trials // BATCH_SIZE))
+
+class TestCriticalDensities:
+    """The per-trial critical densities lam* behind ``find_max_density``."""
+
+    @staticmethod
+    def _lam_stars(scheme, params, trials, seed):
+        return np.concatenate(
+            montecarlo._critical_densities(scheme, params, seed, trials))[:trials]
+
+    @pytest.mark.parametrize("alpha", [3.0, 4.0])
+    @pytest.mark.parametrize("scheme,params", [
+        (Scheme.SISO_BASELINE, BASE),
+        (Scheme.ZF_ANTSEL, BASE.replace(M=4, N=4, K=4)),
+    ])
+    def test_outage_fraction_matches_exact(self, scheme, params, alpha):
+        # a trial is in outage at lam exactly when lam* < lam, so the
+        # fraction of lam* below lam estimates the outage at lam
+        p = params.replace(alpha=alpha)
+        trials = 200_000
+        lam_star = self._lam_stars(scheme, p, trials, seed=31)
+        guess = density_for_scheme(p, scheme).lambda_eps
+        for lam in (0.5 * guess, guess, 2.0 * guess):
+            if scheme is Scheme.SISO_BASELINE:
+                exact = -math.expm1(-lam * p.beta ** (2 / alpha) * p.D**2
+                                    * interference_coeff(1, alpha))
+            else:
+                exact = exact_outage(scheme, p.replace(lam=lam))
+            se = math.sqrt(exact * (1 - exact) / trials)
+            frac = np.count_nonzero(lam_star < lam) / trials
+            assert abs(frac - exact) <= 4 * se, (lam, frac, exact)
+
+    def test_doubling_reuses_batches_exactly(self):
+        # a doubled search draws only the new batches; the first n values,
+        # partial batch included, are those of the n-trial call
+        p = BASE.replace(M=2, N=1, K=2)
+        n = 2 * BATCH_SIZE + 5
+        first = montecarlo._critical_densities(Scheme.ZF_MISO, p, 9, n)
+        grown = montecarlo._critical_densities(Scheme.ZF_MISO, p, 9, 2 * n, drawn=first)
+        fresh = montecarlo._critical_densities(Scheme.ZF_MISO, p, 9, 2 * n)
+        assert len(first) == 3 and len(fresh) == 5
+        assert all(a is b for a, b in zip(grown, first))
+        for a, b in zip(grown, fresh):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(self._lam_stars(Scheme.ZF_MISO, p, n, 9),
+                                      self._lam_stars(Scheme.ZF_MISO, p, 2 * n, 9)[:n])
+        # estimates at n and after doubling to 2n and 4n equal fresh calls
+        for cap in (n, 2 * n, 4 * n):
+            brackets = []
+            for init in (n, cap):
+                with pytest.raises(InconclusiveBisection) as err:
+                    find_max_density(Scheme.ZF_MISO, p, seed=9, tolerance=0.0,
+                                     trials_init=init, trials_cap=cap)
+                brackets.append(err.value.bracket)
+            assert brackets[0] == brackets[1]
+
+    def test_bit_identical_across_worker_counts(self):
+        p = BASE.replace(M=2, N=1, K=2)
+        res = [find_max_density(Scheme.ZF_MISO, p, seed=4, tolerance=0.05,
+                                trials_init=3 * BATCH_SIZE + 17, workers=w)
+               for w in (1, 2)]
+        assert res[0] == res[1]
+        assert res[0].extras["trials"] > 3 * BATCH_SIZE + 17
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        case=st.sampled_from([
+            (Scheme.SISO_BASELINE, BASE),
+            (Scheme.ZF_MISO, BASE.replace(M=2, N=1, K=2)),
+            (Scheme.ZF_ANTSEL, BASE.replace(M=2, N=2, K=2)),
+            (Scheme.DPC_MIMO_UB, BASE.replace(M=2, N=2, K=2, alpha=3.0)),
+        ]),
+        eps=st.lists(st.floats(0.01, 0.5), min_size=2, max_size=2).map(sorted),
+        beta=st.lists(st.floats(0.5, 10.0), min_size=2, max_size=2).map(sorted),
+        dist=st.lists(st.floats(1.0, 20.0), min_size=2, max_size=2).map(sorted),
+        eta=st.lists(st.floats(0.0, 1e-3), min_size=2, max_size=2).map(sorted),
+    )
+    def test_monotone_in_eps_beta_distance_eta(self, case, eps, beta, dist, eta):
+        # the draws do not depend on epsilon, beta, D or eta, so at a fixed
+        # seed and trial count each moves lambda_eps one way only
+        scheme, params = case
+
+        def lam_eps(**kw):
+            p = params.replace(epsilon=eps[0], beta=beta[0], D=dist[0], eta=eta[0])
+            return find_max_density(scheme, p.replace(**kw), seed=17, tolerance=2.0,
+                                    trials_init=BATCH_SIZE,
+                                    trials_cap=BATCH_SIZE).lambda_eps
+
+        base = lam_eps()
+        assert lam_eps(epsilon=eps[1]) >= base
+        assert lam_eps(beta=beta[1]) <= base
+        assert lam_eps(D=dist[1]) <= base
+        assert lam_eps(eta=eta[1]) <= base
 
 
 class TestFindMaxDensity:
@@ -170,8 +255,22 @@ class TestFindMaxDensity:
         assert res.noise_limited
         assert res.lambda_eps == 0.0
 
+    @pytest.mark.parametrize("n", [1, 100, 1000, 12_345])
+    @pytest.mark.parametrize("eps", [0.01, 0.1, 0.5])
+    def test_interval_ends_are_binomial_order_statistics(self, n, eps):
+        # with values 1..n the r-th order statistic is r; the interval ends
+        # sit at the binomial(n, eps) 2.5% quantile and one past the 97.5%
+        from scipy.stats import binom
+
+        values = np.random.default_rng(n).permutation(np.arange(1.0, n + 1))
+        r = int(binom.ppf(0.025, n, eps))
+        s = int(binom.ppf(0.975, n, eps)) + 1
+        want = (math.ceil(n * eps), float(r) if r >= 1 else 0.0,
+                float(s) if s <= n else math.inf)
+        assert montecarlo._quantile_interval(values, eps) == want
+
     def test_inconclusive_raises_with_bracket(self):
-        # a microscopic trial cap cannot separate outage from epsilon
+        # a microscopic trial cap cannot narrow the interval to the tolerance
         p = BASE.replace(M=2, N=1, K=2)
         with pytest.raises(InconclusiveBisection) as err:
             find_max_density(Scheme.ZF_MISO, p, seed=1, tolerance=0.001,
@@ -198,6 +297,16 @@ class TestRunSweep:
         errors = [r for r in table.rows if r.error is not None]
         good = [r for r in table.rows if r.error is None]
         assert len(errors) == 1 and len(good) == 2
+
+    def test_mc_rows_report_trials(self):
+        p = BASE.replace(N=1)
+        table = run_sweep([Scheme.ZF_MISO], [(2, 1, 2)], p, mode="mc", seed=3,
+                          tolerance=0.1)
+        res = find_max_density(Scheme.ZF_MISO, p.replace(M=2, K=2), seed=3,
+                               tolerance=0.1)
+        (row,) = table.rows
+        assert (row.lambda_eps, row.trials, row.seed) == \
+            (res.lambda_eps, res.extras["trials"], 3)
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
