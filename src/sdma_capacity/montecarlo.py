@@ -1,5 +1,9 @@
 """Monte Carlo outage estimation, quantile density estimation, sweeps.
 
+Both estimates read one generator of per-trial critical densities lam*:
+outage at a fixed lam is the fraction of lam* <= lam, and the maximum
+density lam_eps is the epsilon-quantile of lam*.
+
 Reproducibility model: trials are grouped into fixed-size batches and each
 batch gets its own counter-based Philox stream keyed by (seed, batch index).
 Outage estimates aggregate per-batch integer counts, and density estimates
@@ -19,12 +23,11 @@ import numpy as np
 from scipy.special import bdtr, bdtrik
 
 from . import analytic
-from .channel import default_window_radius, sinr_sample
+from .channel import sinr_sample
 from .network import NetworkParams, Scheme
 
 BATCH_SIZE = 4096
-_BLOCK_POINTS = 1 << 15  # interferer points per in-cache block of a batch
-NEAREST = 64  # interferers drawn per density-search trial; the rest enter as their mean
+NEAREST = 64  # interferers drawn per surrogate trial; the rest enter as their mean
 WORKER_ENV_VAR = "SDMA_WORKERS"
 
 
@@ -96,52 +99,12 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _signal_gains(scheme: Scheme, params: NetworkParams, n: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Desired-link gains h0 of ``n`` trials, from the scheme's signal law."""
-    if scheme.is_order_statistic:
-        return rng.standard_exponential((n, params.N)).max(axis=1)
-    return rng.gamma(scheme.signal_dof(params), 1.0, size=n)
-
-
-def _surrogate_batch_outages(scheme: Scheme, params: NetworkParams, n: int,
-                             rng: np.random.Generator) -> int:
-    """Vectorized law-based trials; returns the batch outage count.
-
-    Marks are drawn and summed in in-cache blocks of whole trials; the draws
-    and each trial's summation order are those of one pass over the batch.
-    """
-    radius = default_window_radius(params)
-    counts = rng.poisson(params.lam * math.pi * radius**2, size=n)
-    y = np.zeros(n)
-    total = int(counts.sum())
-    if total:
-        r2 = rng.random(total)
-        r2 *= radius**2
-        shape = scheme.mark_shape(params)
-        ends = np.cumsum(counts)
-        t0 = p0 = 0
-        while t0 < n:
-            t1 = max(t0 + 1, int(np.searchsorted(ends, p0 + _BLOCK_POINTS, side="right")))
-            p1 = int(ends[t1 - 1])
-            contrib = rng.gamma(shape, 1.0, size=p1 - p0)
-            pathloss = r2[p0:p1]
-            np.power(pathloss, -params.alpha / 2.0, out=pathloss)
-            contrib *= pathloss
-            idx = np.repeat(np.arange(t1 - t0), counts[t0:t1])
-            y[t0:t1] = np.bincount(idx, weights=contrib, minlength=t1 - t0)
-            t0, p0 = t1, p1
-    h0 = _signal_gains(scheme, params, n, rng)
-    sinr_num = h0 * params.D ** (-params.alpha)
-    outage = sinr_num < params.beta * (y + params.eta_over_rho)
-    return int(np.count_nonzero(outage))
-
-
 def _count_batch(args) -> int:
     scheme, params, seed, batch_index, n, explicit = args
-    rng = _batch_rng(seed, batch_index)
     if not explicit:
-        return _surrogate_batch_outages(scheme, params, n, rng)
+        lam_star = _critical_batch((scheme, params, seed, batch_index))[:n]
+        return int(np.count_nonzero(lam_star <= params.lam))
+    rng = _batch_rng(seed, batch_index)
     count = 0
     for _ in range(n):
         if sinr_sample(scheme, params, rng, explicit=True) < params.beta:
@@ -167,7 +130,8 @@ def _map_batches(fn, jobs: list, workers: int | None) -> list:
 def estimate_outage(scheme: Scheme, params: NetworkParams, trials: int,
                     seed: int, explicit: bool = False,
                     workers: int | None = None) -> OutageEstimate:
-    """Fraction of trials with SINR < beta, with a 95% Wilson interval.
+    """Fraction of trials in outage, with a 95% Wilson interval: of lam* <= lam,
+    or of SINR < beta on the constructed channels when ``explicit``.
 
     Bit-identical for fixed (seed, params, scheme, trials) regardless of the
     worker count: batches are keyed by (seed, batch index) and only integer
@@ -195,7 +159,8 @@ def _critical_batch(args) -> np.ndarray:
     shot noise. S sums the nearest ``NEAREST`` points with their Gamma marks
     and the mean of the rest, 2 pi m (Gamma_K / pi)^(1 - alpha/2) / (alpha - 2).
     A trial is in outage at lam exactly when lam > lam*, with
-    lam* = ((h0 D^-alpha / beta - eta/rho)_+ / S)^(2/alpha).
+    lam* = ((h0 D^-alpha / beta - eta/rho)_+ / S)^(2/alpha), which is 0 for a
+    trial in outage on noise alone: it is in outage at every lam >= 0.
     """
     scheme, params, seed, batch_index = args
     rng = _batch_rng(seed, batch_index)
@@ -208,7 +173,10 @@ def _critical_batch(args) -> np.ndarray:
     contrib *= rng.gamma(m, 1.0, size=contrib.shape)
     shot = contrib.sum(axis=1)
     shot += tail
-    margin = _signal_gains(scheme, params, BATCH_SIZE, rng)
+    if scheme.is_order_statistic:  # h0, the desired-link gain
+        margin = rng.standard_exponential((BATCH_SIZE, params.N)).max(axis=1)
+    else:
+        margin = rng.gamma(scheme.signal_dof(params), 1.0, size=BATCH_SIZE)
     margin *= params.D ** (-alpha) / params.beta
     margin -= params.eta_over_rho
     np.maximum(margin, 0.0, out=margin)

@@ -10,7 +10,6 @@ from scipy.special import gammainc
 
 from sdma_capacity import montecarlo
 from sdma_capacity.analytic import density_for_scheme, exact_outage
-from sdma_capacity.channel import default_window_radius
 from sdma_capacity.kernels import interference_coeff
 from sdma_capacity.montecarlo import (
     BATCH_SIZE,
@@ -23,6 +22,8 @@ from sdma_capacity.montecarlo import (
     wilson_interval,
 )
 from sdma_capacity.network import NetworkParams, Scheme
+
+from oracles import sibuya_success
 
 BASE = NetworkParams()
 
@@ -55,8 +56,8 @@ class TestEstimateOutage:
         assert est.p_hat == 0.0
 
     def test_dense_field_saturates(self):
-        # exact outage at this density is 1 - e^{-8.5}; keep the trial count
-        # small because every trial carries ~3e4 interferers
+        # exact outage at this density is 1 - e^{-8.5}, so all but about
+        # one in 5,000 trials are in outage
         p = BASE.replace(lam=1e-2)
         est = estimate_outage(Scheme.SISO_BASELINE, p, 500, seed=1)
         assert est.p_hat > 0.99
@@ -83,11 +84,21 @@ class TestEstimateOutage:
         assert a.p_hat != b.p_hat
 
     def test_explicit_agrees_with_surrogate(self):
-        # constructed-channel path, small trial count (it loops per interferer)
+        # two independent generators: the explicit path draws a Poisson window
+        # of constructed channels per trial (small trial count, it loops per
+        # interferer), the surrogate path the radially ordered lam* draw
         p = BASE.replace(lam=1e-4)
         sur = estimate_outage(Scheme.SISO_BASELINE, p, 100_000, seed=3)
         exp = estimate_outage(Scheme.SISO_BASELINE, p, 2_000, seed=3, explicit=True)
         assert exp.ci_low <= sur.p_hat <= exp.ci_high
+
+    def test_noise_only_outage_at_zero_density(self):
+        # at lam = 0 only noise-outage trials count, and their lam* is clamped
+        # to 0: exact outage 1 - exp(-beta eta D^alpha / rho) = 1 - e^{-0.3}
+        p = BASE.replace(lam=0.0, eta=1e-5)
+        est = estimate_outage(Scheme.SISO_BASELINE, p, 100_000, seed=5)
+        exact = -math.expm1(-p.beta * p.eta_over_rho * p.D**p.alpha)
+        assert est.ci_low <= exact <= est.ci_high
 
     def test_ci_calibration(self):
         # the 95% Wilson interval should cover the exact SISO outage in at
@@ -105,40 +116,6 @@ class TestEstimateOutage:
         with pytest.raises(ValueError):
             estimate_outage(Scheme.SISO_BASELINE, BASE, 0, seed=1)
 
-    @pytest.mark.parametrize("scheme,params", [
-        (Scheme.DPC_MIMO_UB, BASE.replace(lam=3e-4, M=3, N=3, K=3)),
-        (Scheme.ZF_ANTSEL, BASE.replace(lam=1e-4, M=4, N=4, K=4, alpha=3.0)),
-        (Scheme.SISO_BASELINE, BASE.replace(lam=2e-5, eta=1e-5)),
-        (Scheme.SISO_BASELINE, BASE.replace(lam=0.0, eta=1e-3)),
-    ])
-    @pytest.mark.parametrize("block_points", [1, 1000, 1 << 15])
-    def test_blocked_batch_equals_one_pass(self, scheme, params, block_points,
-                                           monkeypatch):
-        # the batch generator draws and sums per trial in blocks; its
-        # interference and outage count must be those of one pass over the
-        # batch, whatever the block size
-        def one_pass(rng, n):
-            radius = default_window_radius(params)
-            counts = rng.poisson(params.lam * math.pi * radius**2, size=n)
-            r2 = radius**2 * rng.random(int(counts.sum()))
-            marks = rng.gamma(scheme.mark_shape(params), 1.0, size=r2.size)
-            contrib = marks * r2 ** (-params.alpha / 2.0)
-            y = np.bincount(np.repeat(np.arange(n), counts), weights=contrib,
-                            minlength=n)
-            if scheme.is_order_statistic:
-                h0 = rng.standard_exponential((n, params.N)).max(axis=1)
-            else:
-                h0 = rng.gamma(scheme.signal_dof(params), 1.0, size=n)
-            outage = h0 * params.D ** (-params.alpha) < params.beta * (y + params.eta_over_rho)
-            return int(np.count_nonzero(outage))
-
-        monkeypatch.setattr(montecarlo, "_BLOCK_POINTS", block_points)
-        for batch, n in ((0, 300), (1, 1)):
-            want = one_pass(montecarlo._batch_rng(21, batch), n)
-            got = montecarlo._surrogate_batch_outages(
-                scheme, params, n, montecarlo._batch_rng(21, batch))
-            assert got == want
-
 
 class TestCriticalDensities:
     """The per-trial critical densities lam* behind ``find_max_density``."""
@@ -152,6 +129,7 @@ class TestCriticalDensities:
     @pytest.mark.parametrize("scheme,params", [
         (Scheme.SISO_BASELINE, BASE),
         (Scheme.ZF_ANTSEL, BASE.replace(M=4, N=4, K=4)),
+        (Scheme.DPC_MIMO_UB, BASE.replace(M=2, N=2, K=2)),
     ])
     def test_outage_fraction_matches_exact(self, scheme, params, alpha):
         # a trial is in outage at lam exactly when lam* < lam, so the
@@ -164,6 +142,10 @@ class TestCriticalDensities:
             if scheme is Scheme.SISO_BASELINE:
                 exact = -math.expm1(-lam * p.beta ** (2 / alpha) * p.D**2
                                     * interference_coeff(1, alpha))
+            elif scheme is Scheme.DPC_MIMO_UB:
+                delta = 2 / alpha
+                big_a = lam * interference_coeff(scheme.mark_shape(p), alpha) * p.zeta**delta
+                exact = 1.0 - float(sibuya_success(scheme.signal_dof(p), 0.0, big_a, delta))
             else:
                 exact = exact_outage(scheme, p.replace(lam=lam))
             se = math.sqrt(exact * (1 - exact) / trials)
@@ -193,6 +175,20 @@ class TestCriticalDensities:
                                      trials_init=init, trials_cap=cap)
                 brackets.append(err.value.bracket)
             assert brackets[0] == brackets[1]
+
+    @pytest.mark.parametrize("n", [1000, 3 * BATCH_SIZE + 17])
+    @pytest.mark.parametrize("scheme,params", [
+        (Scheme.SISO_BASELINE, BASE),
+        (Scheme.ZF_ANTSEL, BASE.replace(M=4, N=4, K=4)),
+        (Scheme.DPC_MIMO_UB, BASE.replace(M=2, N=2, K=2, eta=1e-5)),
+    ])
+    def test_outage_and_density_share_one_generator(self, scheme, params, n):
+        # lambda_eps is the ceil(n eps)-th smallest lam*, so on the same seed
+        # and trial count exactly that many trials are in outage at lambda_eps
+        res = find_max_density(scheme, params, seed=13, tolerance=10.0,
+                               trials_init=n, trials_cap=n)
+        est = estimate_outage(scheme, params.replace(lam=res.lambda_eps), n, 13)
+        assert est.p_hat == math.ceil(n * params.epsilon) / n
 
     def test_bit_identical_across_worker_counts(self):
         p = BASE.replace(M=2, N=1, K=2)
