@@ -116,6 +116,41 @@ class TestEstimateOutage:
         with pytest.raises(ValueError):
             estimate_outage(Scheme.SISO_BASELINE, BASE, 0, seed=1)
 
+    FIXED_DENSITY_CASES = [
+        (Scheme.DPC_MIMO_UB, BASE.replace(lam=3e-4, M=3, N=3, K=3)),
+        (Scheme.ZF_ANTSEL, BASE.replace(lam=1e-4, M=4, N=4, K=4, alpha=3.0)),
+        (Scheme.SISO_BASELINE, BASE.replace(lam=2e-5, eta=1e-5)),
+        (Scheme.SISO_BASELINE, BASE.replace(lam=0.0, eta=1e-3)),
+    ]
+
+    @pytest.mark.parametrize("scheme,params", FIXED_DENSITY_CASES)
+    def test_matches_exact_outage(self, scheme, params):
+        # gamma, order-statistic and exponential signals, with and without
+        # noise, against their exact outage within 4 standard errors
+        trials = 100_000
+        est = estimate_outage(scheme, params, trials, seed=17)
+        if scheme is Scheme.DPC_MIMO_UB:
+            delta = 2 / params.alpha
+            big_a = (params.lam * interference_coeff(scheme.mark_shape(params), params.alpha)
+                     * params.zeta**delta)
+            exact = 1.0 - float(sibuya_success(scheme.signal_dof(params),
+                                               params.zeta * params.eta_over_rho,
+                                               big_a, delta))
+        else:
+            exact = exact_outage(scheme, params)
+        se = math.sqrt(exact * (1 - exact) / trials)
+        assert abs(est.p_hat - exact) <= 4 * se + 1e-12
+
+    @pytest.mark.parametrize("scheme,params", FIXED_DENSITY_CASES)
+    def test_monotone_in_density_on_one_seed(self, scheme, params):
+        # on one seed every density reads the same lam* draws, so the outage
+        # count cannot fall as lam grows
+        lam = params.lam or 1e-4
+        counts = [estimate_outage(scheme, params.replace(lam=f * lam), 5_000,
+                                  seed=9).p_hat
+                  for f in (0.0, 0.5, 1.0, 2.0, 4.0)]
+        assert counts == sorted(counts)
+
 
 class TestCriticalDensities:
     """The per-trial critical densities lam* behind ``find_max_density``."""
