@@ -1,8 +1,12 @@
-"""Poisson interferer fields, Rayleigh channels, precoders, SINR samples.
+"""Rayleigh channels, stacked ZF/BD precoders and the constructed gain laws.
 
 Channel entries are i.i.d. circularly-symmetric complex Gaussian with unit
 variance per complex entry, so |h|^2 is a unit-mean exponential. All sampling
 is stateless given an explicit numpy Generator; callers own stream derivation.
+
+Every construction works on a stack: leading axes index independent links or
+interferers, so one ``np.linalg`` call builds a whole block of precoders.
+``zf_precoder`` and ``bd_precoder`` are single-stack views of the same code.
 
 Power convention: per-stream transmit power rho (the sqrt(P/M) factors of the
 received-signal model are absorbed into rho), so the signal gain and mark
@@ -19,30 +23,13 @@ import numpy as np
 from .network import NetworkParams, Scheme
 
 ORTHOGONALITY_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class FieldRealization:
-    """One sampled Poisson field of interferer locations on a disc."""
-
-    positions: np.ndarray  # (n, 2) meters, centered at the typical receiver
-    window_radius: float
-    density: float
-
-    @property
-    def count(self) -> int:
-        return self.positions.shape[0]
-
-    @property
-    def radii(self) -> np.ndarray:
-        return np.hypot(self.positions[:, 0], self.positions[:, 1])
+BLOCK_POINTS = 2048  # interferers per stacked precoder construction
 
 
 @dataclass(frozen=True)
 class PrecoderSet:
     """Unit-norm beamformers (columns) or per-user BD matrices."""
 
-    scheme: Scheme
     beamformers: np.ndarray | None = None          # (M, S) unit-norm columns
     gains: np.ndarray | None = None                # per-stream |h w|^2
     bd_matrices: tuple[np.ndarray, ...] = ()       # per-user (M, M-(K-1)N)
@@ -52,7 +39,18 @@ class PrecoderSet:
 
 def crandn(rng: np.random.Generator, *shape) -> np.ndarray:
     """Complex Gaussian matrix, unit variance per complex entry."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    parts = rng.standard_normal((*shape, 2))  # (real, imag) pairs, viewed in place
+    parts *= math.sqrt(0.5)
+    return parts.view(np.complex128)[..., 0]
+
+
+def _power(x: np.ndarray, axis) -> np.ndarray:
+    """Squared norm over ``axis``."""
+    return np.sum(x.real**2 + x.imag**2, axis=axis)
+
+
+def _hermitian(x: np.ndarray) -> np.ndarray:
+    return x.conj().swapaxes(-1, -2)
 
 
 def default_window_radius(params: NetworkParams) -> float:
@@ -61,126 +59,96 @@ def default_window_radius(params: NetworkParams) -> float:
     return max(r_density, 100.0 * params.D)
 
 
-def sample_field(lam: float, window_radius: float,
-                 rng: np.random.Generator) -> FieldRealization:
-    """Poisson(lam * pi * R^2) points uniform on the disc of radius R.
+def zf_beams(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-norm ZF beams and stream gains of a stack of row channels.
 
-    The typical transmitter at distance D is excluded from the field
-    (Slivnyak: conditioning on it leaves the interferers a PPP).
+    ``stack`` is (..., S, M) with S <= M and one row per nulled stream. The
+    raw beams are the columns of inv(H) when H is square and of
+    H^H (H H^H)^-1 otherwise; stream s sees gain |h_s w_s|^2 = 1 / ||raw
+    column s||^2, distributed Gamma(M - S + 1, 1) for i.i.d. Gaussian rows.
+    Returns beams (..., M, S) and gains (..., S).
     """
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    if window_radius <= 0:
-        raise ValueError(f"window_radius must be > 0, got {window_radius}")
-    n = rng.poisson(lam * math.pi * window_radius**2)
-    r = window_radius * np.sqrt(rng.random(n))
-    phi = 2.0 * math.pi * rng.random(n)
-    positions = np.column_stack((r * np.cos(phi), r * np.sin(phi)))
-    return FieldRealization(positions=positions, window_radius=window_radius,
-                            density=lam)
+    s_count, m = stack.shape[-2:]
+    if s_count == m:
+        raw = np.linalg.inv(stack)
+    else:
+        herm = _hermitian(stack)
+        raw = herm @ np.linalg.inv(stack @ herm)
+    norms2 = _power(raw, axis=-2)
+    raw /= np.sqrt(norms2)[..., None, :]
+    return raw, 1.0 / norms2
 
 
-def zf_precoder(stacked_channels: np.ndarray, scheme: Scheme = Scheme.ZF_MISO) -> PrecoderSet:
-    """Column-normalized pseudo-inverse beamformers for a row-channel stack.
-
-    ``stacked_channels`` is S x M (S <= M) with one row per nulled stream.
-    Stream s sees gain |h_s w_s|^2 = 1 / ||pinv column s||^2, distributed
-    Gamma(M - S + 1, 1) for i.i.d. complex Gaussian rows.
-    """
+def zf_precoder(stacked_channels: np.ndarray) -> PrecoderSet:
+    """``zf_beams`` of one S x M row-channel stack, with its rank checked."""
     stack = np.asarray(stacked_channels)
     s_count, m = stack.shape
     if s_count > m:
         raise ValueError(f"row count {s_count} exceeds antenna count {m}")
     if np.linalg.matrix_rank(stack) < s_count:
         raise ValueError("rank-deficient channel stack; resample the channels")
-    raw = np.linalg.pinv(stack)              # (M, S), rows of stack map to e_s
-    norms = np.linalg.norm(raw, axis=0)
-    beamformers = raw / norms
-    gains = 1.0 / norms**2
-    return PrecoderSet(scheme=scheme, beamformers=beamformers, gains=gains)
+    beamformers, gains = zf_beams(stack)
+    return PrecoderSet(beamformers=beamformers, gains=gains)
 
 
-def bd_precoder(channels: list[np.ndarray], scheme: Scheme = Scheme.BD_UB) -> PrecoderSet:
-    """Null-space (SVD) block-diagonalization precoders.
+def bd_blocks(channels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Block-diagonalization null bases W_k and effective channels G_k.
 
-    ``channels`` holds K matrices of shape N x M with M >= KN. W_k is an
-    orthonormal basis of the null space of the other users' stacked rows;
-    G_k = H_k W_k is the effective N x (M - (K-1)N) channel. Reports the
-    squared max singular value and squared Frobenius norm of each G_k.
+    ``channels`` is (..., K, N, M) with M >= KN. W_k is an orthonormal basis
+    of the null space of the other users' stacked rows, the trailing
+    columns of the complete QR of their conjugate transpose; G_k = H_k W_k.
+    Returns W (..., K, M, M - (K-1)N) and G (..., K, N, M - (K-1)N).
     """
-    k_users = len(channels)
-    n, m = channels[0].shape
+    *lead, k_users, n, m = channels.shape
     if m < k_users * n:
         raise ValueError(f"BD requires M >= K*N, got M={m}, K={k_users}, N={n}")
-    matrices, effective, mu2, frob2 = [], [], [], []
-    for k in range(k_users):
-        others = [channels[j] for j in range(k_users) if j != k]
-        if others:
-            stack = np.vstack(others)
-            _, _, vh = np.linalg.svd(stack, full_matrices=True)
-            w = vh[stack.shape[0]:].conj().T      # (M, M-(K-1)N)
-        else:
-            w = np.eye(m, dtype=complex)
-        g = channels[k] @ w
-        matrices.append(w)
-        effective.append(g)
-        sv = np.linalg.svd(g, compute_uv=False)
-        mu2.append(float(sv[0] ** 2))
-        frob2.append(float(np.linalg.norm(g) ** 2))
+    if k_users == 1:
+        w = np.broadcast_to(np.eye(m, dtype=complex), (*lead, 1, m, m))
+    else:
+        others = [[j for j in range(k_users) if j != k] for k in range(k_users)]
+        stack = channels[..., others, :, :].reshape(*lead, k_users, -1, m)
+        q, _ = np.linalg.qr(_hermitian(stack), mode="complete")
+        w = q[..., (k_users - 1) * n:]
+    return w, channels @ w
+
+
+def bd_beams(channels: np.ndarray) -> np.ndarray:
+    """Each user's top-eigenmode unit-norm BD beam W_k v_k, as (..., M, K).
+
+    v_k is the top right-singular vector of G_k, taken as G_k^H u_k with u_k
+    the top eigenvector of the N x N Gram G_k G_k^H.
+    """
+    w, g = bd_blocks(channels)
+    _, u = np.linalg.eigh(g @ _hermitian(g))
+    beams = (w @ (_hermitian(g) @ u[..., -1:]))[..., 0]
+    beams /= np.sqrt(_power(beams, axis=-1))[..., None]
+    return beams.swapaxes(-1, -2)
+
+
+def bd_precoder(channels: list[np.ndarray]) -> PrecoderSet:
+    """``bd_blocks`` of one user set (K matrices of shape N x M), with the
+    squared max singular value and squared Frobenius norm of each G_k."""
+    w, g = bd_blocks(np.stack(channels))
     return PrecoderSet(
-        scheme=scheme,
-        bd_matrices=tuple(matrices),
-        effective_channels=tuple(effective),
-        extras={"mu2_max": np.array(mu2), "frob2": np.array(frob2)},
+        bd_matrices=tuple(w),
+        effective_channels=tuple(g),
+        extras={"mu2_max": np.linalg.eigvalsh(g @ _hermitian(g))[:, -1],
+                "frob2": _power(g, axis=(-2, -1))},
     )
 
 
-def signal_gain(scheme: Scheme, params: NetworkParams, rng: np.random.Generator,
-                explicit: bool = False) -> float:
-    """Typical-link signal power H0 under the scheme's law.
-
-    With ``explicit`` the gain is produced by actually constructing channels
-    and precoders; otherwise it is drawn from the scheme's distributional law
-    (identical in law for the constructive schemes, a surrogate for DPC/BD).
-    """
-    if not explicit:
-        if scheme.is_order_statistic:
-            return float(rng.standard_exponential(params.N).max())
-        return float(rng.gamma(scheme.signal_dof(params), 1.0))
-
-    m, n, k = params.M, params.N, params.K
-    if scheme is Scheme.DPC_MIMO_UB:
-        h = crandn(rng, n, m)
-        return float(np.linalg.norm(h) ** 2)
-    if scheme in (Scheme.DPC_MISO,):
-        h = crandn(rng, m)
-        return float(np.linalg.norm(h) ** 2)
-    if scheme is Scheme.SISO_BASELINE:
-        return float(abs(crandn(rng, 1)[0]) ** 2)
-    if scheme is Scheme.ZF_MISO:
-        stack = crandn(rng, m, m)            # K = M single-antenna receivers
-        return float(zf_precoder(stack, scheme).gains[0])
-    if scheme is Scheme.ZF_MULTI:
-        stack = crandn(rng, k * n, m)
-        return float(zf_precoder(stack, scheme).gains[0])
-    if scheme is Scheme.ZF_RXZF:
-        # receive ZF: project stream 0's N-dim channel onto the orthogonal
-        # complement of the own transmitter's other M-1 stream channels
-        h = crandn(rng, n, m)
-        q, _ = np.linalg.qr(h[:, 1:])
-        resid = h[:, 0] - q @ (q.conj().T @ h[:, 0])
-        return float(np.linalg.norm(resid) ** 2)
-    if scheme is Scheme.ZF_ANTSEL:
-        return antsel_gain(params, rng, physical=False)
-    if scheme is Scheme.BD_UB:
-        channels = [crandn(rng, n, m) for _ in range(k)]
-        return float(bd_precoder(channels, scheme).extras["frob2"][0])
-    raise AssertionError(scheme)
+def _selected_rows(params: NetworkParams, rng: np.random.Generator,
+                   size: int) -> np.ndarray:
+    """(size, M, M): each of K = M receivers' best antenna row by norm."""
+    m, n = params.M, params.N
+    h = crandn(rng, size, m, n, m)
+    best = np.argmax(_power(h, axis=-1), axis=-1)
+    return np.take_along_axis(h, best[..., None, None], axis=2)[:, :, 0]
 
 
-def antsel_gain(params: NetworkParams, rng: np.random.Generator,
-                physical: bool = False) -> float:
-    """Antenna-selection signal gain.
+def antsel_gain(params: NetworkParams, rng: np.random.Generator, size: int,
+                physical: bool = False) -> np.ndarray:
+    """``size`` antenna-selection signal gains.
 
     Model mode (default): max of N i.i.d. unit exponentials, the stated
     random-variable law. Physical mode: each of the K = M receivers selects
@@ -189,84 +157,83 @@ def antsel_gain(params: NetworkParams, rng: np.random.Generator,
     between the two is measured, not assumed.
     """
     if not physical:
-        return float(rng.standard_exponential(params.N).max())
-    m, n = params.M, params.N
-    rows = []
-    for _ in range(m):
-        h = crandn(rng, n, m)
-        best = int(np.argmax(np.linalg.norm(h, axis=1)))
-        rows.append(h[best])
-    return float(zf_precoder(np.array(rows), Scheme.ZF_ANTSEL).gains[0])
+        return rng.standard_exponential((size, params.N)).max(axis=1)
+    return zf_beams(_selected_rows(params, rng, size))[1][:, 0]
 
 
-def interference_mark(scheme: Scheme, params: NetworkParams,
-                      rng: np.random.Generator, explicit: bool = False) -> float:
-    """Fading mark of one interferer: aggregate post-filter stream power.
+def signal_gains(scheme: Scheme, params: NetworkParams, rng: np.random.Generator,
+                 size: int) -> np.ndarray:
+    """``size`` desired-link gains H0 on constructed channels and precoders.
 
-    Explicit mode draws the receive-filtered interferer channel row
-    g = u^H H_i (i.i.d. complex Gaussian by isotropy) and sums |g w_s|^2
-    over the interferer's own stream precoders; otherwise the Gamma
-    surrogate of the scheme's mark shape is drawn directly.
+    Antenna selection draws its model law (``antsel_gain``).
     """
-    shape = scheme.mark_shape(params)
-    if not explicit:
-        return float(rng.gamma(shape, 1.0))
-
     m, n, k = params.M, params.N, params.K
-    g = crandn(rng, m)
-    if scheme is Scheme.SISO_BASELINE:
-        return float(abs(g[0]) ** 2)
-    if scheme is Scheme.ZF_MULTI:
-        stack = crandn(rng, k * n, m)        # the interferer's own receivers
-        w = zf_precoder(stack, scheme).beamformers
-        return float(np.sum(np.abs(g @ w) ** 2))
-    if scheme is Scheme.ZF_MISO:
-        stack = crandn(rng, m, m)
-        w = zf_precoder(stack, scheme).beamformers
-        return float(np.sum(np.abs(g @ w) ** 2))
+    if scheme is Scheme.ZF_ANTSEL:
+        return antsel_gain(params, rng, size)
+    if scheme in (Scheme.ZF_MISO, Scheme.ZF_MULTI):  # K*N nulled rows (K = M for MISO)
+        return zf_beams(crandn(rng, size, k * n, m))[1][:, 0]
+    if scheme is Scheme.ZF_RXZF:
+        # receive ZF: project stream 0's N-dim channel onto the orthogonal
+        # complement of the own transmitter's other M - 1 stream channels
+        h = crandn(rng, size, n, m)
+        q, _ = np.linalg.qr(h[..., 1:])
+        return _power(h[..., :1] - q @ (_hermitian(q) @ h[..., :1]), axis=(-2, -1))
     if scheme is Scheme.BD_UB:
-        channels = [crandn(rng, n, m) for _ in range(k)]
-        pre = bd_precoder(channels, scheme)
-        total = 0.0
-        for w_k, g_k in zip(pre.bd_matrices, pre.effective_channels):
-            _, _, vh = np.linalg.svd(g_k)
-            beam = w_k @ vh[0].conj()        # top eigenmode, unit norm
-            total += float(abs(g @ beam) ** 2)
-        return total
-    # DPC variants, antenna selection, receive ZF: M streams on a random
-    # orthonormal frame
-    q, r = np.linalg.qr(crandn(rng, m, m))
-    q = q * (np.diag(r) / np.abs(np.diag(r)))   # Haar-correct phases
-    return float(np.sum(np.abs(g @ q) ** 2))
+        _, g = bd_blocks(crandn(rng, size, k, n, m))
+        return _power(g[:, 0], axis=(-2, -1))
+    # DPC: the full N x M channel (N = 1 for dpc-miso, M = N = 1 for siso)
+    return _power(crandn(rng, size, n * m), axis=-1)
 
 
-def aggregate_interference(scheme: Scheme, params: NetworkParams,
-                           fld: FieldRealization, rng: np.random.Generator,
-                           explicit: bool = False) -> float:
-    """Shot-noise sum Y = sum_i I_i |X_i|^{-alpha} over one field."""
-    if fld.count == 0:
-        return 0.0
-    radii = fld.radii
-    if explicit:
-        marks = np.array([
-            interference_mark(scheme, params, rng, explicit=True)
-            for _ in range(fld.count)
-        ])
+def interference_marks(scheme: Scheme, params: NetworkParams,
+                       rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` interferer fading marks: aggregate post-filter stream power.
+
+    Each interferer's receive-filtered channel row g = u^H H_i is i.i.d.
+    complex Gaussian by isotropy; its mark is sum_s |g w_s|^2 over its own
+    unit-norm stream precoders. The ZF columns (``zf-miso``, ``zf-multi``,
+    and ``zf-antsel`` on its selected rows) and the BD eigenmodes are not
+    orthogonal, so those marks have mean equal to the stream count but are
+    not Gamma. DPC and receive-ZF transmitters send M streams on an
+    orthonormal frame, whose summed power is exactly ||g||^2.
+    """
+    m, n, k = params.M, params.N, params.K
+    g = crandn(rng, size, 1, m)
+    if scheme in (Scheme.ZF_MISO, Scheme.ZF_MULTI):
+        beams = zf_beams(crandn(rng, size, k * n, m))[0]
+    elif scheme is Scheme.ZF_ANTSEL:
+        beams = zf_beams(_selected_rows(params, rng, size))[0]
+    elif scheme is Scheme.BD_UB:
+        beams = bd_beams(crandn(rng, size, k, n, m))
     else:
-        marks = rng.gamma(scheme.mark_shape(params), 1.0, size=fld.count)
-    return float(np.sum(marks * radii ** (-params.alpha)))
+        return _power(g, axis=(-2, -1))
+    return _power(g @ beams, axis=(-2, -1))
 
 
-def sinr_sample(scheme: Scheme, params: NetworkParams, rng: np.random.Generator,
-                explicit: bool = False, window_radius: float | None = None) -> float:
-    """One SINR realization: rho H0 D^-alpha / (rho Y + eta)."""
+def sinr_samples(scheme: Scheme, params: NetworkParams, rng: np.random.Generator,
+                 size: int) -> np.ndarray:
+    """``size`` SINR realizations rho H0 D^-alpha / (rho Y + eta).
+
+    Each trial draws Poisson(lam pi R^2) interferers uniform on the disc of
+    radius R = ``default_window_radius`` (squared radii R^2 U; the typical
+    transmitter is excluded, by Slivnyak) and a desired-link gain H0. Marks
+    are drawn ``BLOCK_POINTS`` interferers at a time and summed per trial
+    into the shot noise Y, so memory is O(block) whatever the trial count.
+    A trial with neither interference nor noise has SINR = inf.
+    """
     scheme.check_feasible(params)
-    radius = default_window_radius(params) if window_radius is None else window_radius
-    fld = sample_field(params.lam, radius, rng)
-    h0 = signal_gain(scheme, params, rng, explicit=explicit)
-    y = aggregate_interference(scheme, params, fld, rng, explicit=explicit)
-    eta_eff = params.eta_over_rho
-    return h0 * params.D ** (-params.alpha) / (y + eta_eff) if (y + eta_eff) > 0 else math.inf
+    radius = default_window_radius(params)
+    ends = rng.poisson(params.lam * math.pi * radius**2, size=size).cumsum()
+    h0 = signal_gains(scheme, params, rng, size)
+    total, shot = int(ends[-1]), np.full(size, params.eta_over_rho)
+    for start in range(0, total, BLOCK_POINTS):
+        points = np.arange(start, min(start + BLOCK_POINTS, total))
+        contrib = (radius**2 * rng.random(points.size)) ** (-params.alpha / 2.0)
+        contrib *= interference_marks(scheme, params, rng, points.size)
+        shot += np.bincount(np.searchsorted(ends, points, side="right"),
+                            weights=contrib, minlength=size)
+    with np.errstate(divide="ignore"):
+        return h0 * params.D ** (-params.alpha) / shot
 
 
 def zf_residual(stacked_channels: np.ndarray, precoders: PrecoderSet) -> float:

@@ -13,7 +13,7 @@ import math
 import numpy as np
 from scipy.special import gammainc, gammaln
 
-from .channel import crandn, zf_precoder
+from .channel import antsel_gain, signal_gains
 from .kernels import f_coeff, interference_coeff
 from .montecarlo import estimate_outage, validate_distribution
 from .network import NetworkParams, Scheme
@@ -57,27 +57,20 @@ def f_identity_check(d_values=range(1, 33), alphas=(2.5, 3.0, 4.0, 6.0),
 def zf_gain_ks_check(m: int = 6, k: int = 2, n: int = 2,
                      samples: int = 20_000, seed: int = 7) -> dict:
     """Constructed ZF stream gain against Gamma(M - KN + 1, 1)."""
-    dof = m - k * n + 1
-
-    def sampler(rng, size):
-        return np.array([
-            float(zf_precoder(crandn(rng, k * n, m)).gains[0]) for _ in range(size)
-        ])
-
-    report = validate_distribution(sampler, lambda x: gammainc(dof, x),
-                                   samples, seed)
+    params = NetworkParams(M=m, N=n, K=k)
+    report = validate_distribution(
+        lambda rng, size: signal_gains(Scheme.ZF_MULTI, params, rng, size),
+        lambda x: gammainc(m - k * n + 1, x), samples, seed)
     return _check(f"zf-gain-ks-M{m}-K{k}-N{n}", report.statistic,
                   report.critical_value)
 
 
 def antsel_ks_check(n: int = 4, samples: int = 50_000, seed: int = 11) -> dict:
-    """Max-of-N-exponentials signal law."""
-    def sampler(rng, size):
-        return rng.standard_exponential((size, n)).max(axis=1)
-
+    """Antenna-selection signal gain against the max-of-N-exponentials law."""
+    params = NetworkParams(N=n)
     report = validate_distribution(
-        sampler, lambda x: (-np.expm1(-np.asarray(x, dtype=float))) ** n,
-        samples, seed)
+        lambda rng, size: antsel_gain(params, rng, size),
+        lambda x: (-np.expm1(-np.asarray(x, dtype=float))) ** n, samples, seed)
     return _check(f"antsel-ks-N{n}", report.statistic, report.critical_value)
 
 

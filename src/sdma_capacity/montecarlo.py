@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import bdtr, bdtrik
 
 from . import analytic
-from .channel import sinr_sample
+from .channel import sinr_samples
 from .network import NetworkParams, Scheme
 
 BATCH_SIZE = 4096
@@ -104,12 +104,8 @@ def _count_batch(args) -> int:
     if not explicit:
         lam_star = _critical_batch((scheme, params, seed, batch_index))[:n]
         return int(np.count_nonzero(lam_star <= params.lam))
-    rng = _batch_rng(seed, batch_index)
-    count = 0
-    for _ in range(n):
-        if sinr_sample(scheme, params, rng, explicit=True) < params.beta:
-            count += 1
-    return count
+    sinr = sinr_samples(scheme, params, _batch_rng(seed, batch_index), n)
+    return int(np.count_nonzero(sinr < params.beta))
 
 
 def _worker_count(workers: int | None) -> int:
@@ -336,15 +332,18 @@ def validate_distribution(sampler, reference_cdf, samples: int,
                           seed: int, level: float = 0.01) -> KSReport:
     """One-sample Kolmogorov-Smirnov test of ``sampler`` against a CDF.
 
-    ``sampler(rng, size)`` must return a 1-D array. The critical value is
-    the asymptotic K-S quantile at ``level`` scaled by 1/sqrt(n).
+    ``sampler(rng, size)`` must return a 1-D array. It is called for blocks
+    of at most ``BATCH_SIZE`` draws on one stream, which bounds the memory
+    of stacked precoder constructions. The critical value is the asymptotic
+    K-S quantile at ``level`` scaled by 1/sqrt(n).
     """
     from scipy import stats  # ~0.3 s of import time, needed only here
 
     if samples < 1000:
         raise ValueError("need at least 1000 samples for a meaningful KS test")
     rng = _batch_rng(seed, 0)
-    data = np.asarray(sampler(rng, samples))
+    data = np.concatenate([np.asarray(sampler(rng, min(BATCH_SIZE, samples - start)))
+                           for start in range(0, samples, BATCH_SIZE)])
     stat = float(stats.kstest(data, reference_cdf).statistic)
     critical = float(stats.kstwobign.isf(level)) / math.sqrt(samples)
     return KSReport(statistic=stat, critical_value=critical, samples=samples,

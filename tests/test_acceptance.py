@@ -22,7 +22,7 @@ from sdma_capacity.analytic import (
     outage_bracket,
     small_eps_density,
 )
-from sdma_capacity.channel import bd_precoder, crandn, zf_precoder
+from sdma_capacity.channel import antsel_gain, signal_gains
 from sdma_capacity.kernels import f_coeff, interference_coeff
 from sdma_capacity.montecarlo import (
     estimate_outage,
@@ -116,42 +116,30 @@ def test_criterion_4_bound_sandwich():
 
 def test_criterion_5_distribution_suite():
     details, ok = [], True
-
-    def zf_sampler(m, k, n):
-        def sample(rng, size):
-            return np.array([
-                float(zf_precoder(crandn(rng, k * n, m)).gains[0])
-                for _ in range(size)
-            ])
-        return sample
-
     from scipy.special import gammainc
 
     for m, k, n in ((4, 2, 1), (6, 2, 2), (8, 4, 1)):
         dof = m - k * n + 1
-        rep = validate_distribution(zf_sampler(m, k, n),
-                                    lambda x, d=dof: gammainc(d, x),
-                                    100_000, seed=505)
+        p = BASE.replace(M=m, N=n, K=k)
+        rep = validate_distribution(
+            lambda rng, size, p=p: signal_gains(Scheme.ZF_MULTI, p, rng, size),
+            lambda x, d=dof: gammainc(d, x), 100_000, seed=505)
         ok = ok and rep.passed
         details.append(f"zf({m},{k},{n}) ks={rep.statistic:.4f}"
                        f"{'<' if rep.passed else '>='}{rep.critical_value:.4f}")
 
-    def bd_sampler(rng, size):
-        return np.array([
-            float(bd_precoder([crandn(rng, 2, 8) for _ in range(2)])
-                  .extras["frob2"][0])
-            for _ in range(size)
-        ])
-
-    rep = validate_distribution(bd_sampler, lambda x: gammainc(12, x),
-                                100_000, seed=515)
+    p = BASE.replace(M=8, N=2, K=2)
+    rep = validate_distribution(
+        lambda rng, size: signal_gains(Scheme.BD_UB, p, rng, size),
+        lambda x: gammainc(12, x), 100_000, seed=515)
     ok = ok and rep.passed
     details.append(f"bd(8,2,2) ks={rep.statistic:.4f}"
                    f"{'<' if rep.passed else '>='}{rep.critical_value:.4f}")
 
     for n in (2, 4):
+        p = BASE.replace(N=n)
         rep = validate_distribution(
-            lambda rng, size, nn=n: rng.standard_exponential((size, nn)).max(axis=1),
+            lambda rng, size, p=p: antsel_gain(p, rng, size),
             lambda x, nn=n: (-np.expm1(-np.asarray(x, dtype=float))) ** nn,
             100_000, seed=525)
         ok = ok and rep.passed

@@ -85,12 +85,37 @@ class TestEstimateOutage:
 
     def test_explicit_agrees_with_surrogate(self):
         # two independent generators: the explicit path draws a Poisson window
-        # of constructed channels per trial (small trial count, it loops per
-        # interferer), the surrogate path the radially ordered lam* draw
+        # of constructed channels per trial, the surrogate path the radially
+        # ordered lam* draw
         p = BASE.replace(lam=1e-4)
         sur = estimate_outage(Scheme.SISO_BASELINE, p, 100_000, seed=3)
         exp = estimate_outage(Scheme.SISO_BASELINE, p, 2_000, seed=3, explicit=True)
         assert exp.ci_low <= sur.p_hat <= exp.ci_high
+
+    def test_explicit_bit_identical_across_worker_counts(self):
+        p = BASE.replace(lam=1e-4)
+        trials = BATCH_SIZE + 17
+        ests = [
+            estimate_outage(Scheme.SISO_BASELINE, p, trials, seed=11, explicit=True,
+                            workers=w)
+            for w in (1, 2)
+        ]
+        assert ests[0].p_hat == ests[1].p_hat
+
+    def test_explicit_siso_matches_exact_outage(self):
+        p = BASE.replace(lam=1e-4)
+        trials = 20_000
+        exact = exact_outage(Scheme.SISO_BASELINE, p)
+        est = estimate_outage(Scheme.SISO_BASELINE, p, trials, seed=13, explicit=True)
+        se = math.sqrt(exact * (1 - exact) / trials)
+        assert abs(est.p_hat - exact) <= 4 * se
+
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    def test_explicit_no_outage_without_interference_or_noise(self, scheme):
+        m, n, k = scheme.default_config(2)
+        p = BASE.replace(lam=0.0, eta=0.0, M=m, N=n, K=k)
+        est = estimate_outage(scheme, p, 1000, seed=7, explicit=True)
+        assert est.p_hat == 0.0
 
     def test_noise_only_outage_at_zero_density(self):
         # at lam = 0 only noise-outage trials count, and their lam* is clamped
